@@ -154,7 +154,7 @@ def cmd_fixture(args) -> int:
     )
     paths = fixtures.fixture_gen(spec, args.out_dir)
     manifest.write_manifest(paths["interleaved"], "corpus fixture",
-                            vars(spec).copy() if hasattr(spec, "__dict__") else {},
+                            vars(spec).copy(),
                             args.seed, [], [str(p) for p in paths.values()])
     for name, path in paths.items():
         print(f"{name}: {path}")

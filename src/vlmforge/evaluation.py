@@ -130,8 +130,8 @@ def build_kshot(
     )
 
 
-def _candidate_loss(model, packed, pixels, tok, candidate: str) -> float:
-    """Mean cross-entropy of the candidate's tokens appended to the context."""
+def _with_candidate(packed, tok, candidate: str) -> PackedSample:
+    """The context followed by the candidate's tokens, which alone carry loss."""
     cand_ids = tok.encode(candidate)
     if not cand_ids:
         raise VlmforgeError("empty candidate string")
@@ -142,8 +142,7 @@ def _candidate_loss(model, packed, pixels, tok, candidate: str) -> float:
     )
     loss = np.zeros(len(tokens), dtype=np.uint8)
     loss[L:] = 1
-    scored = PackedSample(tokens, modality, loss, list(packed.image_slots), packed.stage_tag)
-    return model.sequence_loss(scored, pixels)
+    return PackedSample(tokens, modality, loss, list(packed.image_slots), packed.stage_tag)
 
 
 def score_item(
@@ -155,18 +154,24 @@ def score_item(
     tok: ByteTokenizer,
     max_new: int = 32,
 ) -> tuple[str, int]:
-    """Return (prediction, correct bit) for one packed query context."""
+    """Return (prediction, correct bit) for one packed query context.
+
+    Exact match generates at most `max_new` tokens, fewer when the context
+    leaves less room in `max_positions`. Candidate ranking scores every
+    candidate of the item in one batch, so the context images are encoded
+    once.
+    """
     if metric == "exact-match":
-        generated = model.generate(packed, pixels, max_new=max_new)
+        room = model.cfg.max_positions - len(packed)
+        generated = model.generate(packed, pixels, max_new=min(max_new, room))
         prediction = tok.decode(generated)
         correct = int(" ".join(prediction.split()) == " ".join(item.answer.split()))
         return prediction, correct
     if metric == "candidate-rank":
         if not item.candidates:
             raise VlmforgeError("candidate-rank requires a candidate list")
-        losses = [
-            _candidate_loss(model, packed, pixels, tok, cand) for cand in item.candidates
-        ]
+        scored = [_with_candidate(packed, tok, cand) for cand in item.candidates]
+        losses = model.sequence_loss(scored, pixels)
         best = int(np.argmin(losses))  # ties break toward the first listed
         prediction = item.candidates[best]
         return prediction, int(prediction == item.answer)

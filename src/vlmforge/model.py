@@ -7,14 +7,31 @@ with learned absolute positions. Everything is plain numpy in float64 so
 gradients can be checked against finite differences to tight tolerance; a
 float32 mode exists for speed. No dropout anywhere, for determinism.
 
+One batched path serves every caller. A batch's sequences are concatenated
+into one flat (N, D) array, and every position-wise op runs on it: token and
+position embeddings, LayerNorm, the QKV/out and MLP matmuls, GELU, the head
+and the loss. Attention alone runs on a right-padded (B, H, Lmax, Lmax)
+view; padding sits after every real position and the decoder is causal, so
+no key-padding mask is needed. The batch's images, deduplicated by image_id,
+go through `encode_image` and `project` once as one (N_img, T, D) stack.
+`forward(sample)` is the B=1 case, where the flat and padded layouts are one
+reshape apart.
+
+Backward walks the same layout and does only the work the trainable groups
+need: frozen groups get no gradient buffers, no weight-gradient matmuls and
+no reductions, and it stops at the projector's input while the vision
+encoder is frozen.
+
 Parameters live in a flat name -> array store; the name's first component
 (vision / projector / embed / llm / head) is the freezing unit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -30,6 +47,7 @@ CKPT_MAGIC = b"VLMCKPT\x00"
 CKPT_VERSION = 1
 
 PARAM_GROUPS = ("vision", "projector", "embed", "llm", "head")
+DTYPES = {"float64": np.float64, "float32": np.float32}
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +102,10 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        if self.dtype not in DTYPES:
+            raise ConfigMismatchError(
+                f"unknown dtype {self.dtype!r} (expected one of {', '.join(DTYPES)})"
+            )
         if self.model_dim % self.heads:
             raise ConfigMismatchError("model_dim must be divisible by heads")
         if isinstance(self.projector, TransformerBlockProjector):
@@ -110,7 +132,7 @@ class ModelConfig:
 
     @property
     def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
+        return DTYPES[self.dtype]
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -132,7 +154,49 @@ class ForwardTrace:
 
 
 # ---------------------------------------------------------------------------
-# primitive layers (each returns output + cache; backward mirrors it)
+# batch layout
+
+
+class _Layout:
+    """B sequences stored back to back as flat rows, plus a right-padded view.
+
+    Position-wise ops run on the flat (N, F) rows; attention runs on the
+    (B, Lmax, F) view. When every sequence has the same length the two are
+    one reshape apart and `rows` is None.
+    """
+
+    def __init__(self, lengths):
+        self.B = len(lengths)
+        self.Lmax = max(lengths)
+        self.rows = None  # flat row -> row of the padded (B * Lmax) view
+        if min(lengths) != self.Lmax:
+            starts = np.arange(self.B) * self.Lmax
+            self.rows = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
+
+    def pad(self, a):
+        """(N, F) flat rows -> (B, Lmax, F), zero past each sequence's end."""
+        if self.rows is None:
+            return a.reshape(self.B, self.Lmax, -1)
+        out = np.zeros((self.B * self.Lmax, a.shape[-1]), dtype=a.dtype)
+        out[self.rows] = a
+        return out.reshape(self.B, self.Lmax, -1)
+
+    def unpad(self, a):
+        """(B, Lmax, ...) -> (N, F) flat rows."""
+        flat = a.reshape(self.B * self.Lmax, -1)
+        return flat if self.rows is None else flat[self.rows]
+
+    def add_positions(self, x, table):
+        """x += table[position of each row], in place."""
+        if self.rows is None:
+            x.reshape(self.B, self.Lmax, -1)[...] += table[: self.Lmax]
+        else:
+            x += table[self.rows % self.Lmax]
+
+
+# ---------------------------------------------------------------------------
+# primitive layers (each returns output + cache; backward mirrors it and
+# skips its weight gradients when handed no gradient dict)
 
 
 def _ln_fwd(x, g, b, eps=1e-5):
@@ -144,118 +208,182 @@ def _ln_fwd(x, g, b, eps=1e-5):
     return xhat * g + b, (xhat, inv, g)
 
 
-def _ln_bwd(dout, cache):
+def _ln_bwd(dout, cache, grads, prefix):
     xhat, inv, g = cache
-    D = xhat.shape[-1]
-    dg = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
-    db = dout.sum(axis=tuple(range(dout.ndim - 1)))
+    if grads is not None:
+        grads[f"{prefix}.g"] += (dout * xhat).sum(axis=0)
+        grads[f"{prefix}.b"] += dout.sum(axis=0)
     dxhat = dout * g
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dg, db
 
 
 def _gelu_fwd(x):
-    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     return x * phi, (x, phi)
 
 
 def _gelu_bwd(dout, cache):
     x, phi = cache
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return dout * (phi + x * pdf)
+    d = x * x
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= x / math.sqrt(2.0 * math.pi)  # x * pdf(x)
+    d += phi
+    d *= dout
+    return d
 
 
-def _attn_fwd(x, p, prefix, heads, causal):
-    L, D = x.shape
-    dh = D // heads
-    q = x @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"]
-    k = x @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"]
-    v = x @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"]
-    qh = q.reshape(L, heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(L, heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(L, heads, dh).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+def _linear_bwd(dout, x, w, grads, w_name, b_name, need_dx=True):
+    """Backward of x @ w + b; `grads` None skips the weight gradients."""
+    if grads is not None:
+        grads[w_name] += x.T @ dout
+        grads[b_name] += dout.sum(axis=0)
+    return dout @ w.T if need_dx else None
+
+
+@functools.lru_cache(maxsize=256)
+def _causal_bias(L: int, dtype) -> np.ndarray:
+    """(L, L) additive mask, -inf above the diagonal and 0 elsewhere; read-only."""
+    bias = np.where(np.triu(np.ones((L, L), dtype=bool), k=1), -np.inf, 0.0).astype(dtype)
+    bias.flags.writeable = False
+    return bias
+
+
+def _softmax_(a):
+    """Softmax over the last axis, in place."""
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
+
+
+def _qkv_weights(p, prefix):
+    w = np.concatenate([p[f"{prefix}.wq"], p[f"{prefix}.wk"], p[f"{prefix}.wv"]], axis=1)
+    b = np.concatenate([p[f"{prefix}.bq"], p[f"{prefix}.bk"], p[f"{prefix}.bv"]])
+    return w, b
+
+
+def _attn_fwd(x, p, prefix, heads, causal, layout=None):
+    """Multi-head attention over the flat rows of `layout` (default: one sequence).
+
+    Bidirectional attention takes equal-length sequences only, since it
+    would attend to padding.
+    """
+    N, D = x.shape
+    layout = layout or _Layout([N])
+    B, L, dh = layout.B, layout.Lmax, D // heads
+    w, b = _qkv_weights(p, prefix)
+    qkv = layout.pad(x @ w + b).reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    qh, kh, vh = qkv  # (B, heads, L, dh) each
+    attn = qh @ kh.transpose(0, 1, 3, 2)
+    attn /= math.sqrt(dh)
     if causal:
-        mask = np.triu(np.ones((L, L), dtype=bool), k=1)
-        scores = np.where(mask, -np.inf, scores)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    expo = np.exp(scores)
-    attn = expo / expo.sum(axis=-1, keepdims=True)
-    oh = attn @ vh
-    o = oh.transpose(1, 0, 2).reshape(L, D)
+        attn += _causal_bias(L, attn.dtype)
+    _softmax_(attn)
+    o = layout.unpad((attn @ vh).transpose(0, 2, 1, 3))
     out = o @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
-    return out, (x, qh, kh, vh, attn, o)
+    return out, (x, qh, kh, vh, attn, o, layout)
 
 
 def _attn_bwd(dout, cache, p, g, prefix, heads):
-    x, qh, kh, vh, attn, o = cache
-    L, D = x.shape
-    dh = D // heads
-    g[f"{prefix}.wo"] += o.T @ dout
-    g[f"{prefix}.bo"] += dout.sum(axis=0)
-    do = dout @ p[f"{prefix}.wo"].T
-    doh = do.reshape(L, heads, dh).transpose(1, 0, 2)
-    dattn = doh @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ doh
-    # softmax backward; masked entries have attn == 0 hence dscores == 0
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores /= np.sqrt(dh)
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 2, 1) @ qh
-    dq = dqh.transpose(1, 0, 2).reshape(L, D)
-    dk = dkh.transpose(1, 0, 2).reshape(L, D)
-    dv = dvh.transpose(1, 0, 2).reshape(L, D)
-    dx = np.zeros_like(x)
-    for name, dproj in (("wq", dq), ("wk", dk), ("wv", dv)):
-        g[f"{prefix}.{name}"] += x.T @ dproj
-        g[f"{prefix}.b{name[1]}"] += dproj.sum(axis=0)
-        dx += dproj @ p[f"{prefix}.{name}"].T
-    return dx
+    x, qh, kh, vh, attn, o, layout = cache
+    D = x.shape[1]
+    B, L, dh = layout.B, layout.Lmax, D // heads
+    do = _linear_bwd(dout, o, p[f"{prefix}.wo"], g, f"{prefix}.wo", f"{prefix}.bo")
+    doh = layout.pad(do).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+    dqkv = np.empty((B, L, 3, heads, dh), dtype=x.dtype)
+    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)  # views in (B, heads, L, dh) order
+    dv[...] = attn.transpose(0, 1, 3, 2) @ doh
+    dscores = doh @ vh.transpose(0, 1, 3, 2)
+    # attention backward is the memory peak of a training pass, so padded
+    # temporaries are dropped as soon as they are used
+    del doh
+    # softmax backward, in place; masked entries have attn == 0 hence zero
+    dscores -= np.einsum("bhij,bhij->bhi", dscores, attn)[..., None]
+    dscores *= attn
+    dscores /= math.sqrt(dh)
+    dq[...] = dscores @ kh
+    dk[...] = dscores.transpose(0, 1, 3, 2) @ qh
+    del dscores
+    dqkv = layout.unpad(dqkv)  # (N, 3D), columns in wq | wk | wv order
+    w, _ = _qkv_weights(p, prefix)
+    if g is not None:
+        gw = x.T @ dqkv
+        gb = dqkv.sum(axis=0)
+        for i, name in enumerate("qkv"):
+            g[f"{prefix}.w{name}"] += gw[:, i * D : (i + 1) * D]
+            g[f"{prefix}.b{name}"] += gb[i * D : (i + 1) * D]
+    return dqkv @ w.T
 
 
-def _block_fwd(x, p, prefix, heads, causal):
+def _block_fwd(x, p, prefix, heads, causal, layout=None):
     h1, ln1_cache = _ln_fwd(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    a, attn_cache = _attn_fwd(h1, p, f"{prefix}.attn", heads, causal)
-    x2 = x + a
+    x2, attn_cache = _attn_fwd(h1, p, f"{prefix}.attn", heads, causal, layout)
+    x2 += x
     h2, ln2_cache = _ln_fwd(x2, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     pre = h2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
     act, gelu_cache = _gelu_fwd(pre)
-    m = act @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
-    out = x2 + m
+    out = act @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
+    out += x2
     return out, (ln1_cache, attn_cache, ln2_cache, gelu_cache, h2, act)
 
 
 def _block_bwd(dout, cache, p, g, prefix, heads):
+    """Gradient w.r.t. the block input; `g` None skips the block's weights."""
     ln1_cache, attn_cache, ln2_cache, gelu_cache, h2, act = cache
-    dm = dout
-    g[f"{prefix}.mlp.w2"] += act.T @ dm
-    g[f"{prefix}.mlp.b2"] += dm.sum(axis=0)
-    dact = dm @ p[f"{prefix}.mlp.w2"].T
+    mlp = f"{prefix}.mlp"
+    dact = _linear_bwd(dout, act, p[f"{mlp}.w2"], g, f"{mlp}.w2", f"{mlp}.b2")
     dpre = _gelu_bwd(dact, gelu_cache)
-    g[f"{prefix}.mlp.w1"] += h2.T @ dpre
-    g[f"{prefix}.mlp.b1"] += dpre.sum(axis=0)
-    dh2 = dpre @ p[f"{prefix}.mlp.w1"].T
-    dx2_from_mlp, dg2, db2 = _ln_bwd(dh2, ln2_cache)
-    g[f"{prefix}.ln2.g"] += dg2
-    g[f"{prefix}.ln2.b"] += db2
-    dx2 = dout + dx2_from_mlp
+    dh2 = _linear_bwd(dpre, h2, p[f"{mlp}.w1"], g, f"{mlp}.w1", f"{mlp}.b1")
+    dx2 = dout + _ln_bwd(dh2, ln2_cache, g, f"{prefix}.ln2")
     dh1 = _attn_bwd(dx2, attn_cache, p, g, f"{prefix}.attn", heads)
-    dx_from_ln1, dg1, db1 = _ln_bwd(dh1, ln1_cache)
-    g[f"{prefix}.ln1.g"] += dg1
-    g[f"{prefix}.ln1.b"] += db1
-    return dx2 + dx_from_ln1
+    dx2 += _ln_bwd(dh1, ln1_cache, g, f"{prefix}.ln1")
+    return dx2
+
+
+def _xent_(logits, targets):
+    """Per-row cross-entropy; overwrites `logits` with its gradient.
+
+    Log-softmax and softmax run in place, so a (rows, vocab) pass allocates
+    nothing of that size beyond the logits themselves.
+    """
+    rows = np.arange(len(targets))
+    logits -= logits.max(axis=-1, keepdims=True)
+    picked = logits[rows, targets]
+    np.exp(logits, out=logits)
+    z = logits.sum(axis=-1)
+    logits /= z[:, None]
+    logits[rows, targets] -= 1.0
+    return np.log(z) - picked
 
 
 # ---------------------------------------------------------------------------
 # the model
 
 
+@dataclass
+class _Pass:
+    """A batched forward pass: its layout, decoder output and backward caches."""
+
+    layout: _Layout
+    tokens: np.ndarray  # (N,) int64 token ids, flat
+    text: np.ndarray  # (N,) bool, TEXT positions
+    normed: np.ndarray  # (N, model_dim) final-LN output, the head's input
+    final_ln: tuple
+    # a training pass keeps the decoder block caches and, when the batch has
+    # images, (slot rows, their rows in the projected stack, stack rows,
+    # encoder cache, projector cache); any other pass keeps the hidden states
+    blocks: list
+    images: tuple | None
+    hidden: list[np.ndarray]
+
+
 class Model:
-    """Parameter store plus forward/backward over packed samples."""
+    """Parameter store plus a batched forward/backward over packed samples."""
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
@@ -332,9 +460,6 @@ class Model:
             params[name] = arr.astype(cfg.np_dtype)
         return params
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.params.items()}
-
     @staticmethod
     def group_of(name: str) -> str:
         return name.split(".", 1)[0]
@@ -352,94 +477,108 @@ class Model:
     # -- vision path
 
     def _patchify(self, pixels: np.ndarray) -> np.ndarray:
+        """(R, R, 3) -> (T, patch_in), or a stack (n, R, R, 3) -> (n, T, patch_in)."""
         cfg = self.cfg
-        if pixels.shape != (cfg.resolution, cfg.resolution, 3):
+        if pixels.ndim not in (3, 4) or pixels.shape[-3:] != (cfg.resolution, cfg.resolution, 3):
             raise ConfigMismatchError(
                 f"pixel grid {pixels.shape} does not match resolution {cfg.resolution}"
             )
-        g, ps = cfg.encoder_grid, cfg.patch
-        patches = pixels.reshape(g, ps, g, ps, 3).transpose(0, 2, 1, 3, 4)
-        return patches.reshape(g * g, ps * ps * 3).astype(cfg.np_dtype)
+        g, ps, lead = cfg.encoder_grid, cfg.patch, pixels.shape[:-3]
+        patches = pixels.reshape(*lead, g, ps, g, ps, 3).swapaxes(-4, -3)
+        return patches.reshape(*lead, g * g, ps * ps * 3).astype(cfg.np_dtype)
 
     def encode_image(self, pixels: np.ndarray, with_cache: bool = False):
-        """Patchify, embed, add 2-D positions, run bidirectional blocks."""
-        p = self.params
+        """Patchify, embed, add 2-D positions, run bidirectional blocks.
+
+        Takes one (R, R, 3) image or an (n, R, R, 3) stack, which runs as one
+        batch of n equal-length sequences; returns (T, D) or (n, T, D).
+        """
+        cfg, p = self.cfg, self.params
         flat = self._patchify(pixels)
+        lead = flat.shape[:-2]
         x = flat @ p["vision.patch.w"] + p["vision.patch.b"] + p["vision.pos"]
+        x = x.reshape(-1, cfg.vision_dim)
+        layout = _Layout([cfg.encoder_tokens] * (x.shape[0] // cfg.encoder_tokens))
         caches = []
-        for i in range(self.cfg.vision_layers):
-            x, cache = _block_fwd(x, p, f"vision.block{i}", self.cfg.heads, causal=False)
+        for i in range(cfg.vision_layers):
+            x, cache = _block_fwd(x, p, f"vision.block{i}", cfg.heads, False, layout)
             caches.append(cache)
+        x = x.reshape(*lead, cfg.encoder_tokens, cfg.vision_dim)
         if with_cache:
-            return x, (flat, caches)
+            return x, (flat.reshape(-1, flat.shape[-1]), caches)
         return x
 
     def _encode_image_bwd(self, dout, cache, g):
+        cfg = self.cfg
         flat, caches = cache
         dx = dout
-        for i in reversed(range(self.cfg.vision_layers)):
-            dx = _block_bwd(dx, caches[i], self.params, g, f"vision.block{i}", self.cfg.heads)
+        for i in reversed(range(cfg.vision_layers)):
+            dx = _block_bwd(dx, caches[i], self.params, g, f"vision.block{i}", cfg.heads)
         g["vision.patch.w"] += flat.T @ dx
         g["vision.patch.b"] += dx.sum(axis=0)
-        g["vision.pos"] += dx
+        g["vision.pos"] += dx.reshape(-1, cfg.encoder_tokens, cfg.vision_dim).sum(axis=0)
 
     # -- projector
 
     def project(self, visual: np.ndarray, with_cache: bool = False):
-        """Map encoder tokens into decoder space per the configured variant."""
+        """Map encoder tokens into decoder space per the configured variant.
+
+        Takes (T, vision_dim) or an (n, T, vision_dim) stack; returns
+        (slot_length, model_dim) or (n, slot_length, model_dim).
+        """
         cfg, p = self.cfg, self.params
-        if visual.shape[0] != cfg.encoder_tokens:
+        T = cfg.encoder_tokens
+        if visual.ndim not in (2, 3) or visual.shape[-2] != T:
             raise ConfigMismatchError(
-                f"projector expects {cfg.encoder_tokens} tokens, got {visual.shape[0]}"
+                f"projector expects {T} tokens, got {visual.shape[-2]}"
             )
+        lead = visual.shape[:-2]
+        flat = visual.reshape(-1, cfg.vision_dim)
+        n = flat.shape[0] // T
         proj = cfg.projector
         if isinstance(proj, Linear):
-            out = visual @ p["projector.w"] + p["projector.b"]
-            cache = ("linear", visual)
+            out = flat @ p["projector.w"] + p["projector.b"]
+            cache = ("linear", flat)
         elif isinstance(proj, Downsample):
             grid = cfg.encoder_grid
             f = proj.factor
             if grid % f:
                 raise ConfigMismatchError("downsample factor does not divide token grid")
             # concat each f x f spatial neighborhood in row-major order
-            v = visual.reshape(grid, grid, cfg.vision_dim)
-            v = v.reshape(grid // f, f, grid // f, f, cfg.vision_dim)
-            v = v.transpose(0, 2, 1, 3, 4).reshape((grid // f) ** 2, f * f * cfg.vision_dim)
+            v = flat.reshape(n, grid // f, f, grid // f, f, cfg.vision_dim)
+            v = v.swapaxes(2, 3).reshape(n * (grid // f) ** 2, f * f * cfg.vision_dim)
             out = v @ p["projector.w"] + p["projector.b"]
             cache = ("downsample", v)
         else:
-            h, block_cache = _block_fwd(visual, p, "projector.block", proj.heads, causal=False)
+            layout = _Layout([T] * n)
+            h, block_cache = _block_fwd(flat, p, "projector.block", proj.heads, False, layout)
             out = h @ p["projector.out.w"] + p["projector.out.b"]
             cache = ("transformer", h, block_cache, proj.heads)
+        out = out.reshape(*lead, cfg.slot_length, cfg.model_dim)
         if with_cache:
             return out, cache
         return out
 
-    def _project_bwd(self, dout, cache, g):
+    def _project_bwd(self, dout, cache, g, need_dx):
+        """Backward over flat (n * slot_length, model_dim) rows; `g` None = frozen."""
         cfg, p = self.cfg, self.params
         kind = cache[0]
         if kind == "linear":
-            _, visual = cache
-            g["projector.w"] += visual.T @ dout
-            g["projector.b"] += dout.sum(axis=0)
-            return dout @ p["projector.w"].T
+            return _linear_bwd(dout, cache[1], p["projector.w"], g,
+                               "projector.w", "projector.b", need_dx)
         if kind == "downsample":
-            _, v = cache
-            g["projector.w"] += v.T @ dout
-            g["projector.b"] += dout.sum(axis=0)
-            dv = dout @ p["projector.w"].T
-            grid = cfg.encoder_grid
-            f = cfg.projector.factor
-            dv = dv.reshape(grid // f, grid // f, f, f, cfg.vision_dim)
-            dv = dv.transpose(0, 2, 1, 3, 4).reshape(grid * grid, cfg.vision_dim)
-            return dv
+            dv = _linear_bwd(dout, cache[1], p["projector.w"], g,
+                             "projector.w", "projector.b", need_dx)
+            if dv is None:
+                return None
+            grid, f = cfg.encoder_grid, cfg.projector.factor
+            dv = dv.reshape(-1, grid // f, grid // f, f, f, cfg.vision_dim).swapaxes(2, 3)
+            return dv.reshape(-1, cfg.vision_dim)
         _, h, block_cache, heads = cache
-        g["projector.out.w"] += h.T @ dout
-        g["projector.out.b"] += dout.sum(axis=0)
-        dh = dout @ p["projector.out.w"].T
+        dh = _linear_bwd(dout, h, p["projector.out.w"], g, "projector.out.w", "projector.out.b")
         return _block_bwd(dh, block_cache, p, g, "projector.block", heads)
 
-    # -- full forward
+    # -- batched forward
 
     def _check_sample(self, sample: PackedSample, pixels: dict[str, np.ndarray]):
         cfg = self.cfg
@@ -457,37 +596,61 @@ class Model:
                     f"slot length {slot.length} != model slot length {cfg.slot_length}"
                 )
 
-    def forward(
-        self,
-        sample: PackedSample,
-        pixels: dict[str, np.ndarray] | None = None,
-        with_cache: bool = False,
-    ):
-        """Run the merged sequence through the decoder, capturing hidden states."""
+    def _forward(self, samples: list[PackedSample], pixels, train: bool) -> _Pass:
+        """Embed, merge the images in, and run the decoder over a whole batch.
+
+        A training pass keeps what backward needs; any other pass keeps the
+        hidden states instead.
+        """
         pixels = pixels or {}
-        self._check_sample(sample, pixels)
+        for sample in samples:
+            self._check_sample(sample, pixels)
         cfg, p = self.cfg, self.params
-        L = len(sample)
-        x = p["embed.tok"][sample.tokens.astype(np.int64)].copy()
-        slot_caches = []
-        for slot in sample.image_slots:
-            enc, enc_cache = self.encode_image(pixels[slot.image_id], with_cache=True)
+        layout = _Layout([len(s) for s in samples])
+        tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64)
+        text = np.concatenate([s.modality_mask for s in samples]) == TEXT
+        x = p["embed.tok"][tokens]
+        images = None
+        image_ids = list(dict.fromkeys(
+            slot.image_id for s in samples for slot in s.image_slots))
+        if image_ids:
+            stack = np.stack([pixels[i] for i in image_ids])
+            enc, enc_cache = self.encode_image(stack, with_cache=True)
             proj, proj_cache = self.project(enc, with_cache=True)
-            x[slot.start : slot.start + slot.length] = proj
-            slot_caches.append((slot, enc_cache, proj_cache))
-        x = x + p["embed.pos"][:L]
-        hidden = [x]
-        block_caches = []
+            index = {image_id: k for k, image_id in enumerate(image_ids)}
+            S = cfg.slot_length
+            dst, src, offset = [], [], 0
+            for s in samples:
+                for slot in s.image_slots:
+                    dst.append(offset + slot.start)
+                    src.append(index[slot.image_id] * S)
+                offset += len(s)
+            dst = (np.asarray(dst)[:, None] + np.arange(S)).ravel()
+            src = (np.asarray(src)[:, None] + np.arange(S)).ravel()
+            x[dst] = proj.reshape(-1, cfg.model_dim)[src]
+            if train:
+                images = (dst, src, len(image_ids) * S, enc_cache, proj_cache)
+        layout.add_positions(x, p["embed.pos"])
+        kept = []  # block caches or hidden states
+        if not train:
+            kept.append(x)
         for i in range(cfg.llm_layers):
-            x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, causal=True)
-            hidden.append(x)
-            block_caches.append(cache)
-        normed, final_cache = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
-        logits = normed @ p["head.w"] + p["head.b"]
-        trace = ForwardTrace(logits, hidden, sample.modality_mask.copy())
-        if with_cache:
-            return trace, (sample, slot_caches, block_caches, final_cache, normed)
-        return trace
+            x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout)
+            kept.append(cache if train else x)
+        normed, final_ln = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
+        if train:
+            return _Pass(layout, tokens, text, normed, final_ln, kept, images, [])
+        return _Pass(layout, tokens, text, normed, final_ln, [], None, kept)
+
+    def forward(self, sample: PackedSample, pixels: dict[str, np.ndarray] | None = None):
+        """Run one merged sequence through the decoder, capturing hidden states.
+
+        This is the batched pass at B=1, with no padding.
+        """
+        p = self.params
+        fw = self._forward([sample], pixels, train=False)
+        logits = fw.normed @ p["head.w"] + p["head.b"]
+        return ForwardTrace(logits, fw.hidden, sample.modality_mask.copy())
 
     # -- loss and gradients
 
@@ -507,72 +670,78 @@ class Model:
             mask[: L - 1] = sample.loss_mask[1:].astype(np.float64)
         return targets, mask
 
-    def _loss_sums(self, trace, targets, mask):
-        """Summed masked cross-entropy and per-logit gradient (unnormalized)."""
-        logits = trace.logits
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=-1))
-        logp = shifted[np.arange(len(targets)), targets] - logz
-        ce_sum = float(-(logp * mask).sum())
-        probs = np.exp(shifted - logz[:, None])
-        dlogits = probs
-        dlogits[np.arange(len(targets)), targets] -= 1.0
-        dlogits *= mask[:, None]
-        return ce_sum, dlogits
-
-    def _backward(self, dlogits, cache, grads):
-        p = self.params
-        sample, slot_caches, block_caches, final_cache, normed = cache
-        grads["head.w"] += normed.T @ dlogits
-        grads["head.b"] += dlogits.sum(axis=0)
-        dnormed = dlogits @ p["head.w"].T
-        dx, dg, db = _ln_bwd(dnormed, final_cache)
-        grads["llm.final_ln.g"] += dg
-        grads["llm.final_ln.b"] += db
-        for i in reversed(range(self.cfg.llm_layers)):
-            dx = _block_bwd(dx, block_caches[i], p, grads, f"llm.block{i}", self.cfg.heads)
-        L = len(sample)
-        grads["embed.pos"][:L] += dx
-        text_positions = sample.modality_mask == TEXT
-        ids = sample.tokens.astype(np.int64)[text_positions]
-        np.add.at(grads["embed.tok"], ids, dx[text_positions])
-        for slot, enc_cache, proj_cache in slot_caches:
-            dproj = dx[slot.start : slot.start + slot.length]
-            denc = self._project_bwd(dproj, proj_cache, grads)
-            self._encode_image_bwd(denc, enc_cache, grads)
+    def _scored_rows(self, samples, fw: _Pass):
+        """Rows that carry loss, their targets and weights, and their logits."""
+        targets, mask = zip(*(self.shifted_targets(s) for s in samples))
+        mask = np.concatenate(mask)
+        rows = np.flatnonzero(mask)
+        logits = fw.normed[rows] @ self.params["head.w"] + self.params["head.b"]
+        return rows, np.concatenate(targets)[rows], mask[rows], logits
 
     def loss_and_grads(
         self,
         samples: PackedSample | list[PackedSample],
         pixels: dict[str, np.ndarray] | None = None,
-        grads: dict[str, np.ndarray] | None = None,
+        trainable=None,
     ):
-        """Mean masked next-token cross-entropy over a (micro)batch.
+        """Mean masked next-token cross-entropy over a (micro)batch, and its gradients.
 
-        The mean is over all masked target positions across the batch.
-        Gradients cover every parameter group, frozen or not; the trainer
-        decides which to apply. An all-masked batch is flagged and yields
-        exactly zero loss and gradients.
+        The mean is over all masked target positions across the batch; the
+        batch runs as one pass. Gradients cover every parameter group, frozen
+        or not, when `trainable` is None; otherwise only the named groups get
+        gradient arrays, and backward skips every weight gradient and every
+        layer below that none of them needs. An all-masked batch is flagged
+        and yields exactly zero loss and gradients.
         """
         if isinstance(samples, PackedSample):
             samples = [samples]
-        grads = grads if grads is not None else self.zero_grads()
-        per_sample = []
-        total_mask = 0.0
-        for sample in samples:
-            trace, cache = self.forward(sample, pixels, with_cache=True)
-            targets, mask = self.shifted_targets(sample)
-            ce_sum, dlogits = self._loss_sums(trace, targets, mask)
-            per_sample.append((ce_sum, dlogits, cache))
-            total_mask += float(mask.sum())
-        if total_mask == 0.0:
+        train = set(PARAM_GROUPS if trainable is None else trainable)
+        grads = {name: np.zeros_like(arr) for name, arr in self.params.items()
+                 if self.group_of(name) in train}
+        fw = self._forward(samples, pixels, train=True)
+        rows, targets, weights, dlogits = self._scored_rows(samples, fw)
+        total = float(weights.sum())
+        if total == 0.0:
             logger.warning("loss_and_grads: batch has no loss-masked positions")
             return 0.0, grads
-        loss = 0.0
-        for ce_sum, dlogits, cache in per_sample:
-            loss += ce_sum / total_mask
-            self._backward(dlogits / total_mask, cache, grads)
+        loss = float(_xent_(dlogits, targets) @ weights) / total
+        dlogits *= (weights / total)[:, None]
+        head = grads if "head" in train else None
+        dnormed = _linear_bwd(dlogits, fw.normed[rows], self.params["head.w"], head,
+                              "head.w", "head.b")
+        del dlogits  # (rows, vocab): freed before the decoder's backward
+        self._backward(fw, rows, dnormed, grads, train)
         return loss, grads
+
+    def _backward(self, fw: _Pass, rows, dnormed, grads, train):
+        """Backward from the final LayerNorm's output gradient at the scored
+        rows down to every layer a trainable group needs, freeing each block's
+        cache once it is used."""
+        cfg, p = self.cfg, self.params
+
+        def owned(group):
+            return grads if group in train else None
+
+        need_embed = "embed" in train
+        need_images = fw.images is not None and bool({"projector", "vision"} & train)
+        if not ("llm" in train or need_embed or need_images):
+            return
+        dx = np.zeros_like(fw.normed)
+        dx[rows] = dnormed
+        dx = _ln_bwd(dx, fw.final_ln, owned("llm"), "llm.final_ln")
+        for i in reversed(range(cfg.llm_layers)):
+            dx = _block_bwd(dx, fw.blocks.pop(), p, owned("llm"), f"llm.block{i}", cfg.heads)
+        if need_embed:
+            layout = fw.layout
+            grads["embed.pos"][: layout.Lmax] += layout.pad(dx).sum(axis=0)
+            np.add.at(grads["embed.tok"], fw.tokens[fw.text], dx[fw.text])
+        if need_images:
+            dst, src, n_rows, enc_cache, proj_cache = fw.images
+            dproj = np.zeros((n_rows, cfg.model_dim), dtype=dx.dtype)
+            np.add.at(dproj, src, dx[dst])
+            denc = self._project_bwd(dproj, proj_cache, owned("projector"), "vision" in train)
+            if "vision" in train:
+                self._encode_image_bwd(denc, enc_cache, grads)
 
     def loss_from_trace(self, trace: ForwardTrace, targets, mask) -> float:
         """Mean masked cross-entropy of an existing trace against explicit targets."""
@@ -581,24 +750,29 @@ class Model:
         n = float(mask.sum())
         if n == 0.0:
             return 0.0
-        ce_sum, _ = self._loss_sums(trace, targets, mask)
-        return ce_sum / n
+        return float(_xent_(trace.logits.copy(), targets) @ mask) / n
 
-    def sequence_loss(self, sample: PackedSample, pixels=None) -> float:
-        """Loss only (no gradients) for scoring."""
-        trace = self.forward(sample, pixels)
-        targets, mask = self.shifted_targets(sample)
-        n = float(mask.sum())
-        if n == 0.0:
-            return 0.0
-        ce_sum, _ = self._loss_sums(trace, targets, mask)
-        return ce_sum / n
+    def sequence_loss(self, sample: PackedSample | list[PackedSample], pixels=None):
+        """Loss only (no gradients) for scoring.
+
+        One sample gives its mean masked cross-entropy as a float. A list is
+        scored as one batch, its images encoded once, and gives an array of
+        per-sample means. A sample with no masked position scores 0.
+        """
+        samples = [sample] if isinstance(sample, PackedSample) else list(sample)
+        fw = self._forward(samples, pixels, train=False)
+        rows, targets, weights, logits = self._scored_rows(samples, fw)
+        owner = np.repeat(np.arange(len(samples)), [len(s) for s in samples])[rows]
+        ce = np.bincount(owner, _xent_(logits, targets) * weights, minlength=len(samples))
+        n = np.bincount(owner, weights, minlength=len(samples))
+        losses = np.divide(ce, n, out=np.zeros(len(samples)), where=n > 0)
+        return float(losses[0]) if isinstance(sample, PackedSample) else losses
 
     # -- generation
 
     def generate(self, prefix: PackedSample, pixels=None, max_new: int = 32) -> list[int]:
         """Greedy continuation; stops at EOS (id vocab-specific: 257)."""
-        from .packing import ByteTokenizer, ImageSlot as _Slot  # avoid cycle at import
+        from .packing import ByteTokenizer  # avoid cycle at import
 
         eos = ByteTokenizer().eos
         if len(prefix) + max_new > self.cfg.max_positions:

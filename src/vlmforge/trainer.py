@@ -182,18 +182,21 @@ def run_stage(
     """Run one stage's optimizer steps over a deterministic batch stream.
 
     Frozen groups stay bit-identical throughout, including their (absent)
-    optimizer moments. NaN loss aborts with the step number. start_step /
-    stop_step support interrupt-and-resume without changing the lr schedule,
-    which always spans the full stage.
+    optimizer moments, and backward computes no gradients for them. NaN
+    loss aborts with the step number. start_step / stop_step support
+    interrupt-and-resume without changing the lr schedule, which always
+    spans the full stage; the cumulative token and image counts resume from
+    the stage's last record in `log`.
     """
     log = log if log is not None else RunLog()
     opt = optimizer if optimizer is not None else AdamW(model, stage.policy, stage.lr)
-    tokens_seen = sum(r.tokens for r in log.records if r.stage == stage.name)
-    images_seen = sum(r.images for r in log.records if r.stage == stage.name)
+    last = next((r for r in reversed(log.records) if r.stage == stage.name), None)
+    tokens_seen = last.tokens if last else 0
+    images_seen = last.images if last else 0
     for step in range(start_step, stop_step if stop_step is not None else stage.steps):
         batch = next(batches)
         pixels = bind_pixels(batch, model.cfg.resolution)
-        loss, grads = model.loss_and_grads(batch, pixels)
+        loss, grads = model.loss_and_grads(batch, pixels, trainable=stage.policy.trainable)
         if not math.isfinite(loss):
             raise NumericError(
                 f"non-finite loss at stage {stage.name!r} step {step} "

@@ -172,3 +172,24 @@ class TestPipeline:
         assert rc == 0
         mani = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
         assert mani["seed"] == 42
+
+
+def test_eval_run_four_shot_exact_match(tmp_path, capsys):
+    from vlmforge.evaluation import EvalItem, EvalTask, save_task
+    from vlmforge.model import Model, ModelConfig, TransformerBlockProjector
+
+    cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
+                      vision_layers=1, llm_layers=2, heads=2,
+                      projector=TransformerBlockProjector(), max_positions=96, seed=0)
+    ckpt = tmp_path / "m.ckpt"
+    Model(cfg).save_checkpoint(ckpt)
+    colors = ["red", "blue", "green", "gold"]
+    items = [EvalItem(f"q{i}", "color: ", colors[i % 4], image_id=f"q-{i}") for i in range(3)]
+    demos = [EvalItem(f"d{i}", "color: ", colors[i % 4], image_id=f"d-{i}") for i in range(6)]
+    task_path = tmp_path / "em.jsonl"
+    save_task(EvalTask("em", items, demos, metric="exact-match"), task_path)
+    out = tmp_path / "eval.csv"
+    rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task_path),
+               "-k", "4", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert len(out.read_text().strip().splitlines()) == 1 + len(items)

@@ -12,7 +12,7 @@ from vlmforge.evaluation import (
     score_item,
 )
 from vlmforge.model import Model
-from vlmforge.packing import IMAGE, TEXT, bind_pixels, pack_sft
+from vlmforge.packing import IMAGE, TEXT, bind_pixels, pack_sft, pixels_for
 from vlmforge.trainer import ALL_TRAINABLE, StageSpec, run_stage
 
 
@@ -222,3 +222,54 @@ class TestTaskIO:
         path.write_text('{"item_id": "x", "prompt": "p", "answer": "a"}\n')
         with pytest.raises(VlmforgeError):
             load_task(path)
+
+
+def toy_cfg():
+    """The acceptance suite's toy configuration: 96 positions, 4-token images."""
+    from vlmforge.model import ModelConfig, TransformerBlockProjector
+
+    return ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
+                       vision_layers=1, llm_layers=2, heads=2,
+                       projector=TransformerBlockProjector(), max_positions=96, seed=0)
+
+
+def color_task(metric, n_items=6, n_demos=8):
+    colors = ["red", "blue", "green", "gold"]
+
+    def items(prefix, n):
+        return [EvalItem(f"{prefix}-{i}", "color: ", colors[i % 4], image_id=f"{prefix}-img-{i}",
+                         candidates=[colors[i % 4], colors[(i + 1) % 4]])
+                for i in range(n)]
+
+    task = EvalTask("colors", items("item", n_items), items("demo", n_demos), metric)
+    pixels = {it.image_id: pixels_for(it.image_id, 16) for it in task.items + task.demo_pool}
+    return task, pixels
+
+
+class TestBatchedScoring:
+    def test_batched_candidate_losses_equal_single_calls(self, tok):
+        from vlmforge.evaluation import _with_candidate
+
+        model = Model(toy_cfg())
+        task, pixels = color_task("candidate-rank")
+        item = task.items[0]
+        packed = build_kshot(item, 4, task.demo_pool, 0, tok, model.cfg.slot_length,
+                             model.cfg.max_positions)
+        candidates = ["red", "blue", "green", "gold", "a longer candidate"]
+        scored = [_with_candidate(packed, tok, c) for c in candidates]
+        batched = model.sequence_loss(scored, pixels)
+        single = [model.sequence_loss(s, pixels) for s in scored]
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+        ranked = EvalItem(item.item_id, item.prompt, "red", item.image_id, candidates)
+        prediction, _ = score_item(model, packed, pixels, "candidate-rank", ranked, tok)
+        assert prediction == candidates[int(np.argmin(single))]
+
+    def test_exact_match_four_shot_fits_the_context(self, tok):
+        model = Model(toy_cfg())
+        task, pixels = color_task("exact-match")
+        lengths = [len(build_kshot(it, 4, task.demo_pool, 0, tok, model.cfg.slot_length,
+                                   model.cfg.max_positions)) for it in task.items]
+        # contexts leave fewer than the default 32 new tokens of room
+        assert max(lengths) > model.cfg.max_positions - 32
+        report = run_eval(model, task, k=4, seed=0, pixels=pixels, tok=tok)
+        assert [r[0] for r in report.records] == sorted(it.item_id for it in task.items)

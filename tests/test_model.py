@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -294,8 +296,8 @@ class TestLossAndGrads:
         loss_batch, _ = tiny_model.loss_and_grads([a, b])
         ta, ma = tiny_model.shifted_targets(a)
         tb, mb = tiny_model.shifted_targets(b)
-        ca, _ = tiny_model._loss_sums(tiny_model.forward(a), ta, ma)
-        cb, _ = tiny_model._loss_sums(tiny_model.forward(b), tb, mb)
+        ca = tiny_model.loss_from_trace(tiny_model.forward(a), ta, ma) * ma.sum()
+        cb = tiny_model.loss_from_trace(tiny_model.forward(b), tb, mb) * mb.sum()
         want = (ca + cb) / (ma.sum() + mb.sum())
         assert loss_batch == pytest.approx(want, rel=1e-12)
 
@@ -348,3 +350,107 @@ def test_init_is_seed_deterministic():
     c = Model(ModelConfig(seed=5)).params
     assert all(np.array_equal(a[n], b[n]) for n in a)
     assert any(not np.array_equal(a[n], c[n]) for n in a)
+
+
+class TestBatchedPath:
+    """The batched pass against single-sample calls and the freeze-aware backward."""
+
+    @staticmethod
+    def cfg(variant):
+        return ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32,
+                           ffn_dim=64, vision_layers=1, llm_layers=2, heads=2,
+                           projector=variant, max_positions=96, seed=11)
+
+    @staticmethod
+    def mixed_batch(tok, cfg):
+        def pair(image_id, caption):
+            doc = InterleavedDocument(image_id, [ImageSegment(image_id), TextSegment(caption)])
+            [sample] = pack_document(doc, tok, cfg.slot_length, cfg.max_positions)
+            return sample
+
+        caption = "a caption of 22 bytes."
+        batch = [
+            pair("pair-a", caption),
+            pair("pair-b", caption[::-1]),
+            make_sample(tok, cfg, "two images, one document", image_ids=("doc-1", "doc-2")),
+            make_sample(tok, cfg, "text only, no image at all", image_ids=()),
+            pair("shared", "the first use of it"),
+            make_sample(tok, cfg, "the shared image again", image_ids=("doc-3", "shared")),
+        ]
+        return batch, bind_pixels(batch, cfg.resolution)
+
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
+    def test_batch_equals_weighted_single_sample_calls(self, tok, variant):
+        cfg = self.cfg(variant)
+        model = Model(cfg)
+        batch, pixels = self.mixed_batch(tok, cfg)
+        if cfg.slot_length == 4:
+            assert [len(s) for s in batch[:2]] == [28, 28]
+        loss, grads = model.loss_and_grads(batch, pixels)
+        weights = [model.shifted_targets(s)[1].sum() for s in batch]
+        want_loss = 0.0
+        want = {name: np.zeros_like(g) for name, g in grads.items()}
+        for sample, weight in zip(batch, weights):
+            single_loss, single = model.loss_and_grads(sample, pixels)
+            want_loss += weight * single_loss / sum(weights)
+            for name, g in single.items():
+                want[name] += weight * g / sum(weights)
+        assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
+        # key biases have an analytically zero gradient, so their arrays hold
+        # rounding noise only; the floor keeps them from dividing noise by noise
+        floor = 1e-10 * max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            assert np.abs(grads[name] - g).max() <= max(1e-10 * np.abs(g).max(), floor), name
+
+    @pytest.mark.parametrize("policy", ["PROJECTOR_ONLY", "ALL_TRAINABLE"])
+    def test_trainable_groups_only_and_bitwise_equal(self, tok, policy):
+        from vlmforge import trainer
+
+        trainable = getattr(trainer, policy).trainable
+        cfg = self.cfg(TransformerBlockProjector(2))
+        model = Model(cfg)
+        batch, pixels = self.mixed_batch(tok, cfg)
+        loss_all, every = model.loss_and_grads(batch, pixels)
+        loss, grads = model.loss_and_grads(batch, pixels, trainable=trainable)
+        assert loss == loss_all
+        assert set(grads) == {n for n in model.params if model.group_of(n) in trainable}
+        for name, g in grads.items():
+            assert np.array_equal(g, every[name]), name
+
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
+    def test_image_stack_equals_per_image_calls(self, variant):
+        cfg = self.cfg(variant)
+        model = Model(cfg)
+        stack = np.stack([pixels_for(f"img-{i}", cfg.resolution) for i in range(5)])
+        encoded = model.encode_image(stack)
+        projected = model.project(encoded)
+        assert encoded.shape == (5, cfg.encoder_tokens, cfg.vision_dim)
+        assert projected.shape == (5, cfg.slot_length, cfg.model_dim)
+        for i in range(5):
+            single = model.encode_image(stack[i])
+            np.testing.assert_allclose(encoded[i], single, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(projected[i], model.project(single),
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_batched_sequence_loss_equals_single_calls(self, tok):
+        cfg = self.cfg(TransformerBlockProjector(2))
+        model = Model(cfg)
+        batch, pixels = self.mixed_batch(tok, cfg)
+        losses = model.sequence_loss(batch, pixels)
+        assert losses.shape == (len(batch),)
+        for sample, got in zip(batch, losses):
+            assert got == pytest.approx(model.sequence_loss(sample, pixels), rel=1e-12)
+
+    def test_float32_gradients(self, tok):
+        cfg = dataclasses.replace(self.cfg(TransformerBlockProjector(2)), dtype="float32")
+        model = Model(cfg)
+        batch, pixels = self.mixed_batch(tok, cfg)
+        loss, grads = model.loss_and_grads(batch, pixels)
+        assert np.isfinite(loss)
+        assert all(g.dtype == np.float32 for g in grads.values())
+        assert model.forward(batch[2], pixels).logits.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", ["bf16", "float16", "fp32", ""])
+    def test_unknown_dtype_rejected(self, dtype):
+        with pytest.raises(ConfigMismatchError, match="dtype"):
+            ModelConfig(dtype=dtype)

@@ -139,6 +139,8 @@ class TestRunStage:
         _, opt = run_stage(full, model_b, batches, log=log_b, stop_step=5)
         run_stage(full, model_b, batches, log=log_b, start_step=5, optimizer=opt)
         assert [r.loss for r in log_b.records] == [r.loss for r in log_a.records]
+        # every column, the cumulative tokens and images included
+        assert log_b.to_csv() == log_a.to_csv()
         for g in model_a.group_names():
             assert model_a.group_checksum(g) == model_b.group_checksum(g)
 
