@@ -2,22 +2,26 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 The default seed comes from VLMFORGE_SEED when set.
+
+`train run` stacks its ModelConfig from the ModelConfig defaults (with a
+preset's projector), the `--config` JSON (a full or partial ModelConfig
+object), the model flags and `--seed`, later ones winning. A `--plan` JSON
+lists StageSpec objects, whose absent optional keys take their defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import diagnostics, evaluation, fixtures, manifest, packing, trainer
 from .errors import NumericError, VlmforgeError
-from .model import Model, ModelConfig, Downsample, Linear, TransformerBlockProjector
+from .model import PROJECTORS, Model, ModelConfig, fields_from_json
 from .packing import ByteTokenizer
 
 
@@ -39,17 +43,16 @@ def _add_seed(parser):
                         help="run seed (default: $VLMFORGE_SEED or 0)")
 
 
-PROJECTORS = {
-    "linear": Linear,
-    "transformer": TransformerBlockProjector,
-    "downsample": Downsample,
-}
+# ModelConfig fields with a flag of their own; each flag's dest is the field name
+MODEL_FLAGS = ("resolution", "patch", "vision_dim", "model_dim", "ffn_dim",
+               "vision_layers", "llm_layers", "heads", "max_positions", "projector")
 
 
 def _add_model_flags(parser):
     parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file of model config fields; flags override it")
-    parser.add_argument("--res", type=int, default=None, help="image resolution")
+                        help="JSON ModelConfig object, partial allowed; flags override it")
+    parser.add_argument("--res", dest="resolution", metavar="RES", type=int, default=None,
+                        help="image resolution")
     parser.add_argument("--patch", type=int, default=None, help="patch size")
     parser.add_argument("--vision-dim", type=int, default=None)
     parser.add_argument("--model-dim", type=int, default=None)
@@ -61,38 +64,17 @@ def _add_model_flags(parser):
     parser.add_argument("--projector", choices=sorted(PROJECTORS), default=None)
 
 
-_MODEL_DEFAULTS = dict(
-    resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
-    vision_layers=1, llm_layers=2, heads=2, vocab_size=260,
-    max_positions=160,
-)
-
-
-def _model_config(args, seed: int) -> ModelConfig:
-    fields = dict(_MODEL_DEFAULTS)
-    if getattr(args, "config", None):
+def _model_config(args, projector=None) -> ModelConfig:
+    """Stack `projector` (a preset's), the --config JSON, the model flags and
+    --seed over the ModelConfig defaults, later layers winning."""
+    fields = {} if projector is None else {"projector": dataclasses.asdict(projector)}
+    if args.config is not None:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        projector = loaded.pop("projector", None)
-        fields.update(loaded)
-        if projector is not None:
-            fields["projector"] = (
-                projector if isinstance(projector, str)
-                else projector.get("kind", "linear")
-            )
-    overrides = {
-        "resolution": args.res, "patch": args.patch,
-        "vision_dim": args.vision_dim, "model_dim": args.model_dim,
-        "ffn_dim": args.ffn_dim, "vision_layers": args.vision_layers,
-        "llm_layers": args.llm_layers, "heads": args.heads,
-        "max_positions": args.max_positions, "projector": args.projector,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    projector = fields.get("projector", "linear")
-    if isinstance(projector, str):
-        fields["projector"] = PROJECTORS[projector]()
-    fields["seed"] = seed
-    return ModelConfig(**fields)
+            fields.update(fields_from_json(ModelConfig, json.load(fh)))
+    fields.update({name: getattr(args, name) for name in MODEL_FLAGS
+                   if getattr(args, name) is not None})
+    fields["seed"] = args.seed
+    return ModelConfig.from_json(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +135,7 @@ def cmd_fixture(args) -> int:
         seed=args.seed,
     )
     paths = fixtures.fixture_gen(spec, args.out_dir)
-    manifest.write_manifest(paths["interleaved"], "corpus fixture",
+    manifest.write_manifest(paths["interleaved"], "fixture",
                             vars(spec).copy(),
                             args.seed, [], [str(p) for p in paths.values()])
     for name, path in paths.items():
@@ -194,19 +176,16 @@ def cmd_pack_run(args) -> int:
 
 
 def _plan_from_json(path) -> trainer.StagePlan:
+    """{"stages": [StageSpec objects]}; `policy` lists the trainable groups."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict) or not isinstance(obj.get("stages"), list):
+        raise VlmforgeError(f"{path}: a plan is a JSON object with a list of stages")
     stages = []
     for entry in obj["stages"]:
-        stages.append(trainer.StageSpec(
-            name=entry["name"],
-            policy=trainer.FreezePolicy(frozenset(entry["policy"])),
-            steps=int(entry["steps"]),
-            lr=float(entry["lr"]),
-            warmup=entry.get("warmup"),
-            batch_size=int(entry.get("batch_size", 8)),
-            text_only_fraction=float(entry.get("text_only_fraction", 0.0)),
-        ))
+        fields = fields_from_json(trainer.StageSpec, entry)
+        fields["policy"] = trainer.FreezePolicy(frozenset(fields["policy"]))
+        stages.append(trainer.StageSpec(**fields))
     return trainer.StagePlan(stages)
 
 
@@ -238,11 +217,9 @@ def cmd_train_run(args) -> int:
     if args.preset is not None:
         plan, projector = trainer.preset_plan(
             args.preset, steps=_parse_steps(args.steps), batch_size=args.batch_size)
-        if args.projector is None:
-            args.projector = projector.kind
     else:
-        plan = _plan_from_json(args.plan)
-    cfg = _model_config(args, args.seed)
+        plan, projector = _plan_from_json(args.plan), None
+    cfg = _model_config(args, projector)
     model = Model(cfg)
 
     def on_stage_end(stage_name: str, m: Model) -> None:
@@ -260,8 +237,7 @@ def cmd_train_run(args) -> int:
     probe = [s for doc in probe_docs
              for s in packing.pack_document(doc, tok, cfg.slot_length, cfg.max_positions)]
     pixels = packing.bind_pixels(probe, cfg.resolution)
-    profile = diagnostics.alignment_profile(model, probe, pixels,
-                                            config_tag=args.preset or "plan")
+    profile = diagnostics.alignment_profile(model, probe, pixels)
     (out_dir / "align.csv").write_text(profile.to_csv())
 
     # a small candidate-rank eval derived from the caption pairs
@@ -390,17 +366,6 @@ def build_parser() -> Parser:
     _add_seed(p)
     p.set_defaults(func=cmd_corpus_topk)
 
-    def add_fixture_flags(fp):
-        fp.add_argument("--out-dir", required=True)
-        fp.add_argument("--n-docs", type=int, default=100)
-        fp.add_argument("--images-per-doc", type=int, default=4)
-        fp.add_argument("--tokens-per-image", type=float, default=122.5)
-        fp.add_argument("--n-pairs", type=int, default=200)
-        _add_seed(fp)
-        fp.set_defaults(func=cmd_fixture)
-
-    add_fixture_flags(corpus_sub.add_parser("fixture", help="generate synthetic corpora"))
-
     pack_p = sub.add_parser("pack", help="pack corpora into binary shards")
     pack_sub = pack_p.add_subparsers(dest="subcommand", parser_class=Parser)
     p = pack_sub.add_parser("run", help="pack a corpus file into a shard")
@@ -461,7 +426,14 @@ def build_parser() -> Parser:
     _add_seed(p)
     p.set_defaults(func=cmd_eval_run)
 
-    add_fixture_flags(sub.add_parser("fixture", help="generate synthetic corpora"))
+    p = sub.add_parser("fixture", help="generate synthetic corpora")
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--n-docs", type=int, default=100)
+    p.add_argument("--images-per-doc", type=int, default=4)
+    p.add_argument("--tokens-per-image", type=float, default=122.5)
+    p.add_argument("--n-pairs", type=int, default=200)
+    _add_seed(p)
+    p.set_defaults(func=cmd_fixture)
 
     return parser
 

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -180,7 +180,6 @@ def parse_corpus(
     path,
     format: str,
     strict: bool = False,
-    on_error: Callable[[int, str], None] | None = None,
 ) -> Iterator[InterleavedDocument | PairSample]:
     """Stream records from a jsonl corpus file in file order.
 
@@ -214,8 +213,6 @@ def parse_corpus(
                 if strict:
                     raise CorpusFormatError(str(exc), line_no=line_no, path=str(path)) from exc
                 logger.warning("%s:line %d: skipped malformed record: %s", path, line_no, exc)
-                if on_error is not None:
-                    on_error(line_no, str(exc))
                 continue
             yield record
     if dropped_captions:

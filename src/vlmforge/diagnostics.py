@@ -24,7 +24,6 @@ VARIANTS = ("symmetric", "a-to-b", "b-to-a")
 class AlignmentProfile:
     per_layer: list[float]  # one value per captured layer (embedding + blocks)
     sample_count: int
-    config_tag: str = ""
     variant: str = "symmetric"
 
     def to_csv(self) -> str:
@@ -72,7 +71,6 @@ def alignment_profile(
     samples: list[PackedSample],
     pixels: dict[str, np.ndarray],
     variant: str = "symmetric",
-    config_tag: str = "",
 ) -> AlignmentProfile:
     """Per-layer cross-modal Chamfer cosine, averaged over the batch.
 
@@ -100,6 +98,5 @@ def alignment_profile(
     return AlignmentProfile(
         per_layer=[float(v / used) for v in sums],
         sample_count=used,
-        config_tag=config_tag,
         variant=variant,
     )

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigMismatchError, VlmforgeError
+from .model import fields_from_json
 from .packing import ByteTokenizer, ImageSlot, PackedSample, TEXT, IMAGE
 from .seeding import substream
 
 METRICS = ("exact-match", "candidate-rank")
+MAX_NEW_TOKENS = 32  # exact-match generation budget per item
 
 
 @dataclass
@@ -152,18 +154,17 @@ def score_item(
     metric: str,
     item: EvalItem,
     tok: ByteTokenizer,
-    max_new: int = 32,
 ) -> tuple[str, int]:
     """Return (prediction, correct bit) for one packed query context.
 
-    Exact match generates at most `max_new` tokens, fewer when the context
+    Exact match generates at most MAX_NEW_TOKENS tokens, fewer when the context
     leaves less room in `max_positions`. Candidate ranking scores every
     candidate of the item in one batch, so the context images are encoded
     once.
     """
     if metric == "exact-match":
         room = model.cfg.max_positions - len(packed)
-        generated = model.generate(packed, pixels, max_new=min(max_new, room))
+        generated = model.generate(packed, pixels, max_new=min(MAX_NEW_TOKENS, room))
         prediction = tok.decode(generated)
         correct = int(" ".join(prediction.split()) == " ".join(item.answer.split()))
         return prediction, correct
@@ -204,14 +205,10 @@ def run_eval(
 # task file format: jsonl with a header record, then one record per item
 
 
-def _item_from_json(obj: dict) -> EvalItem:
-    return EvalItem(
-        item_id=str(obj["item_id"]),
-        prompt=obj["prompt"],
-        answer=obj["answer"],
-        image_id=obj.get("image_id"),
-        candidates=obj.get("candidates"),
-    )
+def _item_from_json(obj) -> EvalItem:
+    fields = fields_from_json(EvalItem, obj)
+    fields["item_id"] = str(fields["item_id"])
+    return EvalItem(**fields)
 
 
 def load_task(path) -> EvalTask:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import json
 import os
 import subprocess
-import tempfile
 
 
 def file_sha256(path) -> str:
@@ -31,6 +31,21 @@ def _git_describe() -> str:
     return "unknown"
 
 
+@contextlib.contextmanager
+def atomic_open(target, mode: str = "w"):
+    """A temporary file beside `target`, with the permissions `open` would give
+    it, that replaces `target` if the block succeeds."""
+    tmp = f"{os.fspath(target)}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_manifest(anchor_path, command: str, config: dict, seed: int,
                    inputs: list, outputs: list) -> str:
     """Atomically write `<anchor>.manifest.json` beside the anchor output."""
@@ -47,15 +62,7 @@ def write_manifest(anchor_path, command: str, config: dict, seed: int,
         "outputs": [str(p) for p in outputs],
     }
     target = str(anchor_path) + ".manifest.json"
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-            fh.write("\n")
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(target) as fh:
+        json.dump(manifest, fh, indent=2, default=str)
+        fh.write("\n")
     return target

@@ -33,12 +33,13 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigMismatchError, VlmforgeError
+from .manifest import atomic_open
 from .packing import TEXT, PackedSample, tokens_per_image
 
 logger = logging.getLogger(__name__)
@@ -72,32 +73,53 @@ class Downsample:
 
 
 ProjectorVariant = Linear | TransformerBlockProjector | Downsample
+PROJECTORS = {cls.kind: cls for cls in (Linear, TransformerBlockProjector, Downsample)}
 
 
-def projector_from_json(obj: dict) -> ProjectorVariant:
-    kind = obj["kind"]
-    if kind == "linear":
-        return Linear()
-    if kind == "transformer":
-        return TransformerBlockProjector(heads=int(obj.get("heads", 2)))
-    if kind == "downsample":
-        return Downsample(factor=int(obj.get("factor", 2)))
-    raise ValueError(f"unknown projector kind {kind!r}")
+def fields_from_json(cls, obj) -> dict:
+    """A JSON object's keys as keyword arguments for dataclass `cls`, which
+    supplies the defaults; a non-object, an unknown key or a missing required
+    key raises ConfigMismatchError."""
+    name = cls.__name__
+    if not isinstance(obj, dict):
+        raise ConfigMismatchError(f"a {name} must be a JSON object, not {obj!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigMismatchError(f"unknown {name} keys: {', '.join(unknown)}")
+    missing = [key for key, f in known.items() if key not in obj
+               and f.default is f.default_factory is MISSING]
+    if missing:
+        raise ConfigMismatchError(f"{name} lacks required keys: {', '.join(missing)}")
+    return dict(obj)
+
+
+def projector_from_json(obj) -> ProjectorVariant:
+    """A projector from its kind name or its JSON object; absent fields take defaults."""
+    obj = {"kind": obj} if isinstance(obj, str) else obj
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in PROJECTORS:
+        raise ConfigMismatchError(
+            f"unknown projector kind {kind!r} (expected one of {', '.join(PROJECTORS)})"
+        )
+    return PROJECTORS[kind](**fields_from_json(PROJECTORS[kind], obj))
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The model's shape: the one source of its defaults, the CLI's included."""
+
     resolution: int = 16
     patch: int = 8
     vision_dim: int = 16
-    model_dim: int = 16
-    ffn_dim: int = 32
-    vision_layers: int = 2
+    model_dim: int = 32
+    ffn_dim: int = 64
+    vision_layers: int = 1
     llm_layers: int = 2
     heads: int = 2
     vocab_size: int = 260
     projector: ProjectorVariant = field(default_factory=Linear)
-    max_positions: int = 128
+    max_positions: int = 160
     seed: int = 0
     dtype: str = "float64"
 
@@ -135,22 +157,22 @@ class ModelConfig:
         return DTYPES[self.dtype]
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out["projector"] = asdict(self.projector)
-        return out
+        return asdict(self)
 
     @staticmethod
-    def from_json(obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        obj["projector"] = projector_from_json(obj["projector"])
-        return ModelConfig(**obj)
+    def from_json(obj) -> "ModelConfig":
+        """A config from a full or partial JSON object; the projector may be
+        a kind name or an object."""
+        kwargs = fields_from_json(ModelConfig, obj)
+        if "projector" in kwargs:
+            kwargs["projector"] = projector_from_json(kwargs["projector"])
+        return ModelConfig(**kwargs)
 
 
 @dataclass
 class ForwardTrace:
     logits: np.ndarray  # (L, vocab)
     hidden: list[np.ndarray]  # llm_layers + 1 entries of (L, model_dim)
-    modality_mask: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +422,13 @@ class Model:
         shapes["vision.pos"] = (cfg.encoder_tokens, cfg.vision_dim)
         for i in range(cfg.vision_layers):
             shapes.update(self._block_shapes(f"vision.block{i}", cfg.vision_dim, cfg.ffn_dim))
-        proj = cfg.projector
-        if isinstance(proj, Linear):
-            shapes["projector.w"] = (cfg.vision_dim, cfg.model_dim)
-            shapes["projector.b"] = (cfg.model_dim,)
-        elif isinstance(proj, Downsample):
-            f2 = proj.factor * proj.factor
-            shapes["projector.w"] = (f2 * cfg.vision_dim, cfg.model_dim)
-            shapes["projector.b"] = (cfg.model_dim,)
-        else:
+        if isinstance(cfg.projector, TransformerBlockProjector):
             shapes.update(self._block_shapes("projector.block", cfg.vision_dim, cfg.ffn_dim))
             shapes["projector.out.w"] = (cfg.vision_dim, cfg.model_dim)
             shapes["projector.out.b"] = (cfg.model_dim,)
+        else:
+            shapes["projector.w"] = (cfg.downsample**2 * cfg.vision_dim, cfg.model_dim)
+            shapes["projector.b"] = (cfg.model_dim,)
         shapes["embed.tok"] = (cfg.vocab_size, cfg.model_dim)
         shapes["embed.pos"] = (cfg.max_positions, cfg.model_dim)
         for i in range(cfg.llm_layers):
@@ -523,7 +540,8 @@ class Model:
     def project(self, visual: np.ndarray, with_cache: bool = False):
         """Map encoder tokens into decoder space per the configured variant.
 
-        Takes (T, vision_dim) or an (n, T, vision_dim) stack; returns
+        Linear and Downsample map each f x f neighborhood of encoder tokens,
+        concatenated in row-major order; Linear is f = 1. Takes (T, vision_dim) or an (n, T, vision_dim) stack; returns
         (slot_length, model_dim) or (n, slot_length, model_dim).
         """
         cfg, p = self.cfg, self.params
@@ -536,24 +554,17 @@ class Model:
         flat = visual.reshape(-1, cfg.vision_dim)
         n = flat.shape[0] // T
         proj = cfg.projector
-        if isinstance(proj, Linear):
-            out = flat @ p["projector.w"] + p["projector.b"]
-            cache = ("linear", flat)
-        elif isinstance(proj, Downsample):
-            grid = cfg.encoder_grid
-            f = proj.factor
-            if grid % f:
-                raise ConfigMismatchError("downsample factor does not divide token grid")
-            # concat each f x f spatial neighborhood in row-major order
-            v = flat.reshape(n, grid // f, f, grid // f, f, cfg.vision_dim)
-            v = v.swapaxes(2, 3).reshape(n * (grid // f) ** 2, f * f * cfg.vision_dim)
-            out = v @ p["projector.w"] + p["projector.b"]
-            cache = ("downsample", v)
-        else:
+        if isinstance(proj, TransformerBlockProjector):
             layout = _Layout([T] * n)
             h, block_cache = _block_fwd(flat, p, "projector.block", proj.heads, False, layout)
             out = h @ p["projector.out.w"] + p["projector.out.b"]
-            cache = ("transformer", h, block_cache, proj.heads)
+            cache = (h, block_cache)
+        else:
+            side, f = cfg.encoder_grid // cfg.downsample, cfg.downsample
+            v = flat.reshape(n, side, f, side, f, cfg.vision_dim).swapaxes(2, 3)
+            v = v.reshape(n * side * side, f * f * cfg.vision_dim)
+            out = v @ p["projector.w"] + p["projector.b"]
+            cache = v
         out = out.reshape(*lead, cfg.slot_length, cfg.model_dim)
         if with_cache:
             return out, cache
@@ -562,21 +573,17 @@ class Model:
     def _project_bwd(self, dout, cache, g, need_dx):
         """Backward over flat (n * slot_length, model_dim) rows; `g` None = frozen."""
         cfg, p = self.cfg, self.params
-        kind = cache[0]
-        if kind == "linear":
-            return _linear_bwd(dout, cache[1], p["projector.w"], g,
-                               "projector.w", "projector.b", need_dx)
-        if kind == "downsample":
-            dv = _linear_bwd(dout, cache[1], p["projector.w"], g,
-                             "projector.w", "projector.b", need_dx)
-            if dv is None:
-                return None
-            grid, f = cfg.encoder_grid, cfg.projector.factor
-            dv = dv.reshape(-1, grid // f, grid // f, f, f, cfg.vision_dim).swapaxes(2, 3)
-            return dv.reshape(-1, cfg.vision_dim)
-        _, h, block_cache, heads = cache
-        dh = _linear_bwd(dout, h, p["projector.out.w"], g, "projector.out.w", "projector.out.b")
-        return _block_bwd(dh, block_cache, p, g, "projector.block", heads)
+        if isinstance(cfg.projector, TransformerBlockProjector):
+            h, block_cache = cache
+            dh = _linear_bwd(dout, h, p["projector.out.w"], g,
+                             "projector.out.w", "projector.out.b")
+            return _block_bwd(dh, block_cache, p, g, "projector.block", cfg.projector.heads)
+        dv = _linear_bwd(dout, cache, p["projector.w"], g, "projector.w", "projector.b", need_dx)
+        if dv is None:
+            return None
+        side, f = cfg.encoder_grid // cfg.downsample, cfg.downsample
+        dv = dv.reshape(-1, side, side, f, f, cfg.vision_dim).swapaxes(2, 3)
+        return dv.reshape(-1, cfg.vision_dim)
 
     # -- batched forward
 
@@ -650,7 +657,7 @@ class Model:
         p = self.params
         fw = self._forward([sample], pixels, train=False)
         logits = fw.normed @ p["head.w"] + p["head.b"]
-        return ForwardTrace(logits, fw.hidden, sample.modality_mask.copy())
+        return ForwardTrace(logits, fw.hidden)
 
     # -- loss and gradients
 
@@ -809,9 +816,9 @@ class Model:
         return h.hexdigest()
 
     def save_checkpoint(self, path) -> None:
-        """Little-endian float32 checkpoint with the config embedded."""
+        """Little-endian float32 checkpoint with the config embedded; atomic."""
         cfg_json = json.dumps(self.cfg.to_json(), sort_keys=True).encode()
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(CKPT_MAGIC)
             fh.write(struct.pack("<II", CKPT_VERSION, len(cfg_json)))
             fh.write(cfg_json)
@@ -827,24 +834,31 @@ class Model:
 
     @staticmethod
     def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> "Model":
+        """Read a checkpoint; a short read anywhere raises VlmforgeError."""
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != CKPT_MAGIC:
+
+            def read(n: int) -> bytes:
+                data = fh.read(n)
+                if len(data) != n:
+                    raise VlmforgeError(f"{path}: truncated checkpoint")
+                return data
+
+            if fh.read(8) != CKPT_MAGIC:
                 raise VlmforgeError(f"{path}: not a VLMCKPT file")
-            version, cfg_len = struct.unpack("<II", fh.read(8))
+            version, cfg_len = struct.unpack("<II", read(8))
             if version != CKPT_VERSION:
                 raise VlmforgeError(f"{path}: unsupported checkpoint version {version}")
-            cfg = ModelConfig.from_json(json.loads(fh.read(cfg_len)))
+            cfg = ModelConfig.from_json(json.loads(read(cfg_len)))
             if expect_cfg is not None and cfg != expect_cfg:
                 raise ConfigMismatchError(f"{path}: checkpoint config mismatch")
-            (n_params,) = struct.unpack("<I", fh.read(4))
+            (n_params,) = struct.unpack("<I", read(4))
             params: dict[str, np.ndarray] = {}
             for _ in range(n_params):
-                (name_len,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(name_len).decode()
-                (ndim,) = struct.unpack("<I", fh.read(4))
-                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                (name_len,) = struct.unpack("<H", read(2))
+                name = read(name_len).decode()
+                (ndim,) = struct.unpack("<I", read(4))
+                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
                 count = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
+                arr = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
                 params[name] = arr.astype(cfg.np_dtype)
         return Model(cfg, params)

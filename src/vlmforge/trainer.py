@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .errors import NumericError, VlmforgeError
-from .model import Model, ModelConfig, Linear, TransformerBlockProjector
+from .model import PARAM_GROUPS, Model, ModelConfig, Linear, TransformerBlockProjector
 from .packing import ByteTokenizer, PackedSample, bind_pixels, pack_document, pack_sft
 from .seeding import child_seed, substream
 
@@ -33,7 +33,7 @@ class FreezePolicy:
     trainable: frozenset[str]
 
     def __post_init__(self):
-        unknown = self.trainable - {"vision", "projector", "embed", "llm", "head"}
+        unknown = self.trainable - set(PARAM_GROUPS)
         if unknown:
             raise VlmforgeError(f"unknown parameter groups in policy: {sorted(unknown)}")
 
@@ -51,6 +51,10 @@ class StageSpec:
     warmup: int | None = None  # default: 3% of steps
     batch_size: int = 8
     text_only_fraction: float = 0.0  # sft only: joint text-only share
+
+    def __post_init__(self):
+        self.steps, self.batch_size = int(self.steps), int(self.batch_size)
+        self.lr, self.text_only_fraction = float(self.lr), float(self.text_only_fraction)
 
     def warmup_steps(self) -> int:
         if self.warmup is not None:
@@ -117,18 +121,18 @@ class RunLog:
         return [r.loss for r in self.records if stage is None or r.stage == stage]
 
 
-class AdamW:
-    """Decoupled-weight-decay Adam over the trainable groups only."""
+ADAM_BETAS = (0.9, 0.95)
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.05
+CLIP_NORM = 1.0  # bound on the global gradient norm
 
-    def __init__(self, model: Model, policy: FreezePolicy, lr: float,
-                 betas=(0.9, 0.95), eps=1e-8, weight_decay=0.05, clip_norm=1.0):
+
+class AdamW:
+    """Decoupled-weight-decay Adam over the trainable groups only; each step
+    takes its learning rate from the schedule, so `lr` is not read."""
+
+    def __init__(self, model: Model, policy: FreezePolicy, lr: float):
         self.model = model
-        self.policy = policy
-        self.base_lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.clip_norm = clip_norm
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -138,26 +142,32 @@ class AdamW:
                 self.v[name] = np.zeros_like(arr)
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        if self.clip_norm:
-            sq = 0.0
-            for name in self.m:
-                g = grads[name]
-                sq += float((g * g).sum())
-            norm = math.sqrt(sq)
-            scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
-        else:
-            scale = 1.0
-        self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        """Update parameters and moments in place, `grads` read only, in the
+        operation order of p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p)."""
+        sq = 0.0
         for name in self.m:
-            g = grads[name] * scale
-            p = self.model.params[name]
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            p -= lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p)
+            g = grads[name]
+            sq += float((g * g).sum())
+        norm = math.sqrt(sq)
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
+        b1, b2 = ADAM_BETAS
+        self.t += 1
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for name, m in self.m.items():
+            v, p = self.v[name], self.model.params[name]
+            g = grads[name] * scale if scale != 1.0 else grads[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            denom = np.sqrt(v / bc2)
+            denom += ADAM_EPS
+            update = m / bc1
+            update /= denom
+            update += WEIGHT_DECAY * p
+            update *= lr
+            p -= update
 
 
 def lr_at(stage: StageSpec, step: int) -> float:
@@ -271,12 +281,14 @@ PRESETS = {
 }
 
 
+PRESET_LRS = (1e-2, 3e-3, 1e-3)  # init-projector, pretrain, sft
+PRESET_TEXT_ONLY_FRACTION = 0.25  # sft share of text-only demos
+
+
 def preset_plan(
     name: str,
     steps: tuple[int, int, int] = (50, 200, 50),
-    lrs: tuple[float, float, float] = (1e-2, 3e-3, 1e-3),
     batch_size: int = 8,
-    text_only_fraction: float = 0.25,
 ) -> tuple[StagePlan, object]:
     """Build the stage plan for one of the four named configurations.
 
@@ -288,15 +300,17 @@ def preset_plan(
     pretrain_policy, sft_policy, projector = PRESETS[name]
     plan = StagePlan(
         [
-            StageSpec("init-projector", PROJECTOR_ONLY, steps[0], lrs[0], batch_size=batch_size),
-            StageSpec("pretrain", pretrain_policy, steps[1], lrs[1], batch_size=batch_size),
+            StageSpec("init-projector", PROJECTOR_ONLY, steps[0], PRESET_LRS[0],
+                      batch_size=batch_size),
+            StageSpec("pretrain", pretrain_policy, steps[1], PRESET_LRS[1],
+                      batch_size=batch_size),
             StageSpec(
                 "sft",
                 sft_policy,
                 steps[2],
-                lrs[2],
+                PRESET_LRS[2],
                 batch_size=batch_size,
-                text_only_fraction=text_only_fraction,
+                text_only_fraction=PRESET_TEXT_ONLY_FRACTION,
             ),
         ]
     )
@@ -333,23 +347,9 @@ def stage_batches(
     max_len: int,
     seed: int,
 ) -> Iterator[list[PackedSample]]:
-    """Deterministic batch stream for one stage of the recipe."""
-    if stage.name == "init-projector":
-        docs = [corpus_mod.pair_as_document(p) for p in corpora.pairs]
-        sampler = corpus_mod.BlendSampler([(docs, 1.0)], child_seed(seed, "stage0"))
-        stream = document_sample_stream(iter(sampler), tok, cfg, max_len)
-    elif stage.name == "pretrain":
-        sources: list[tuple[list, float]] = []
-        if corpora.interleaved and corpora.pairs:
-            pair_docs = [corpus_mod.pair_as_document(p) for p in corpora.pairs]
-            sources = [(corpora.interleaved, 0.5), (pair_docs, 0.5)]
-        elif corpora.interleaved:
-            sources = [(corpora.interleaved, 1.0)]
-        else:
-            sources = [([corpus_mod.pair_as_document(p) for p in corpora.pairs], 1.0)]
-        sampler = corpus_mod.BlendSampler(sources, child_seed(seed, "pretrain"))
-        stream = document_sample_stream(iter(sampler), tok, cfg, max_len)
-    else:
+    """Deterministic batch stream for one stage of the recipe: caption pairs for
+    init-projector, an equal blend of whichever corpora are present for pretrain."""
+    if stage.name == "sft":
         corpora.default_sft_demos()
         stream = sft_sample_stream(
             corpora.sft_visual,
@@ -359,7 +359,18 @@ def stage_batches(
             cfg,
             seed,
         )
-    return batched(stream, stage.batch_size)
+        return batched(stream, stage.batch_size)
+    pair_docs = [corpus_mod.pair_as_document(p) for p in corpora.pairs]
+    if stage.name == "init-projector":
+        sources, wanted, key = [pair_docs], "caption pairs", "stage0"
+    else:
+        sources, wanted, key = [corpora.interleaved, pair_docs], "documents", "pretrain"
+    sources = [docs for docs in sources if docs]
+    if not sources:
+        raise VlmforgeError(f"stage {stage.name!r} trains on {wanted}, and none were given")
+    blend = [(docs, 1.0 / len(sources)) for docs in sources]
+    sampler = corpus_mod.BlendSampler(blend, child_seed(seed, key))
+    return batched(document_sample_stream(iter(sampler), tok, cfg, max_len), stage.batch_size)
 
 
 def run_recipe(
@@ -367,15 +378,16 @@ def run_recipe(
     model: Model,
     corpora: RecipeCorpora,
     seed: int,
-    max_len: int | None = None,
     on_stage_end: Callable[[str, Model], None] | None = None,
 ) -> RunLog:
-    """Execute the staged recipe sequentially; each stage resumes the last."""
+    """Execute the staged recipe sequentially; each stage resumes the last.
+
+    Documents are packed into samples of at most the model's max_positions.
+    """
     tok = ByteTokenizer()
-    max_len = max_len if max_len is not None else model.cfg.max_positions
     log = RunLog()
     for stage in plan.stages:
-        batches = stage_batches(stage, corpora, tok, model.cfg, max_len, seed)
+        batches = stage_batches(stage, corpora, tok, model.cfg, model.cfg.max_positions, seed)
         run_stage(stage, model, batches, log=log)
         if on_stage_end is not None:
             on_stage_end(stage.name, model)

@@ -4,6 +4,7 @@ import pytest
 
 from vlmforge.cli import main
 from vlmforge.fixtures import FixtureSpec, fixture_gen
+from vlmforge.model import Downsample, Model, ModelConfig, TransformerBlockProjector
 from vlmforge.trainer import RunLog
 
 
@@ -74,13 +75,15 @@ class TestCorpusCommands:
         assert kinds == sorted(kinds, key=lambda k: k != "image")
 
     def test_fixture_gen_both_spellings(self, tmp_path):
-        for argv in (["fixture"], ["corpus", "fixture"]):
-            out_dir = tmp_path / "-".join(argv)
-            rc = main(argv + ["--out-dir", str(out_dir), "--n-docs", "4",
-                              "--n-pairs", "4", "--tokens-per-image", "16"])
-            assert rc == 0
-            assert (out_dir / "interleaved.jsonl").exists()
-            assert (out_dir / "pairs.jsonl").exists()
+        flags = ["--out-dir", str(tmp_path / "fix"), "--n-docs", "4",
+                 "--n-pairs", "4", "--tokens-per-image", "16"]
+        assert main(["fixture"] + flags) == 0
+        assert (tmp_path / "fix" / "interleaved.jsonl").exists()
+        assert (tmp_path / "fix" / "pairs.jsonl").exists()
+        # `fixture` is a top-level command only
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "fixture"] + flags)
+        assert exc.value.code == 1
 
 
 class TestPipeline:
@@ -176,7 +179,6 @@ class TestPipeline:
 
 def test_eval_run_four_shot_exact_match(tmp_path, capsys):
     from vlmforge.evaluation import EvalItem, EvalTask, save_task
-    from vlmforge.model import Model, ModelConfig, TransformerBlockProjector
 
     cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
                       vision_layers=1, llm_layers=2, heads=2,
@@ -193,3 +195,98 @@ def test_eval_run_four_shot_exact_match(tmp_path, capsys):
                "-k", "4", "--out", str(out)])
     assert rc == 0, capsys.readouterr().err
     assert len(out.read_text().strip().splitlines()) == 1 + len(items)
+
+
+class TestModelConfigSources:
+    """train run builds its ModelConfig from ModelConfig's defaults, a preset's
+    projector, --config, the model flags and --seed, later layers winning."""
+
+    @staticmethod
+    def run(corpora, out, *extra):
+        rc = main(["train", "run", "--corpus-a", str(corpora["interleaved"]),
+                   "--corpus-b", str(corpora["pairs"]), "--out", str(out),
+                   "--steps", "1,1,1", "--batch-size", "2", "--eval-items", "2", *extra])
+        assert rc == 0
+        return Model.load_checkpoint(out / "final.ckpt").cfg
+
+    @staticmethod
+    def write_json(path, obj):
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_no_model_flags_give_model_config_defaults(self, corpora, tmp_path):
+        plan = self.write_json(tmp_path / "plan.json", {"stages": [
+            {"name": "pretrain", "policy": ["projector"], "steps": 1, "lr": 0.01}]})
+        assert self.run(corpora, tmp_path / "d", "--preset", "d", "--seed", "4") \
+            == ModelConfig(seed=4)
+        assert self.run(corpora, tmp_path / "p", "--plan", plan, "--seed", "6") \
+            == ModelConfig(seed=6)
+
+    def test_config_projector_fields_kept(self, corpora, tmp_path):
+        cfg = self.write_json(tmp_path / "t.json",
+                              {"projector": {"kind": "transformer", "heads": 4}})
+        got = self.run(corpora, tmp_path / "t", "--preset", "a", "--config", cfg)
+        assert got.projector == TransformerBlockProjector(heads=4)
+        cfg = self.write_json(tmp_path / "s.json",
+                              {"projector": {"kind": "downsample", "factor": 1}})
+        got = self.run(corpora, tmp_path / "s", "--preset", "d", "--config", cfg)
+        assert got.projector == Downsample(factor=1)
+
+    def test_flags_override_config(self, corpora, tmp_path):
+        cfg = self.write_json(tmp_path / "c.json",
+                              {"model_dim": 48, "llm_layers": 1, "projector": "downsample"})
+        got = self.run(corpora, tmp_path / "c", "--preset", "d", "--config", cfg,
+                       "--model-dim", "64", "--projector", "linear", "--seed", "2")
+        assert got == ModelConfig(model_dim=64, llm_layers=1, seed=2)
+
+
+class TestBadInputsExit2:
+    @pytest.mark.parametrize("plan", [
+        {"stages": [["pretrain", ["llm"], 1, 0.01]]},
+        {"stages": [{"name": "pretrain", "policy": ["llm"], "steps": 1}]},
+        {"stages": [{"name": "pretrain", "policy": ["llm"], "steps": 1, "lr": 0.01,
+                     "epochs": 2}]},
+        {"steps": 1},
+    ])
+    def test_bad_plan(self, corpora, tmp_path, plan):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        rc = main(["train", "run", "--plan", str(path), "--corpus-b", str(corpora["pairs"]),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("cfg", [[1, 2], {"model_dims": 8}, {"projector": "conv"},
+                                     {"projector": {"kind": "downsample", "heads": 2}}])
+    def test_bad_config(self, corpora, tmp_path, cfg, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["train", "run", "--preset", "d", "--config", str(path),
+                   "--corpus-b", str(corpora["pairs"]), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_preset_without_caption_pairs(self, corpora, tmp_path, capsys):
+        rc = main(["train", "run", "--preset", "c", "--corpus-a", str(corpora["interleaved"]),
+                   "--out", str(tmp_path / "o"), "--steps", "1,1,1"])
+        assert rc == 2
+        assert "caption pairs" in capsys.readouterr().err
+
+    def test_task_item_without_answer(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        task = tmp_path / "task.jsonl"
+        task.write_text(json.dumps({"name": "t", "metric": "candidate-rank"}) + "\n"
+                        + json.dumps({"item_id": "i0", "prompt": "p: "}) + "\n")
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "answer" in capsys.readouterr().err
+
+    def test_truncated_checkpoint(self, corpora, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:300])
+        rc = main(["diag", "align", "--ckpt", str(ckpt), "--shard", str(tmp_path / "none"),
+                   "--out", str(tmp_path / "a.csv")])
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -44,18 +45,18 @@ class TestParseCorpus:
         assert stats.images_per_sample == 0.0
         assert stats.tokens_per_image is None
 
-    def test_malformed_line_skipped_with_line_number(self, tmp_path):
+    def test_malformed_line_skipped_with_line_number(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
         write_lines(path, [
             '{"doc_id":"d0","segments":[{"text":"a"}]}',
             "not json",
             '{"doc_id":"d1","segments":[{"text":"b"}]}',
         ])
-        errors = []
-        docs = list(parse_corpus(path, "interleaved-jsonl",
-                                 on_error=lambda n, msg: errors.append(n)))
+        with caplog.at_level(logging.WARNING, logger="vlmforge.corpus"):
+            docs = list(parse_corpus(path, "interleaved-jsonl"))
         assert [d.doc_id for d in docs] == ["d0", "d1"]
-        assert errors == [2]
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skipped) == 1 and ":line 2:" in skipped[0]
 
     def test_strict_mode_raises(self, tmp_path):
         path = tmp_path / "c.jsonl"

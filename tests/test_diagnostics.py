@@ -94,7 +94,7 @@ class _StubModel:
     def forward(self, sample, pixels=None):
         hidden = self.hidden_builder(sample)
         L = len(sample)
-        return ForwardTrace(np.zeros((L, 4)), hidden, sample.modality_mask.copy())
+        return ForwardTrace(np.zeros((L, 4)), hidden)
 
 
 def mixed_sample(n_image=3, n_text=5):
@@ -139,12 +139,12 @@ class TestAlignmentProfile:
         doc = InterleavedDocument("d", [ImageSegment("i"), TextSegment("hello")])
         samples = pack_document(doc, tok, tiny_model.cfg.slot_length, 64)
         pixels = bind_pixels(samples, 16)
-        profile = alignment_profile(tiny_model, samples, pixels, config_tag="t")
+        profile = alignment_profile(tiny_model, samples, pixels)
         assert len(profile.per_layer) == tiny_model.cfg.llm_layers + 1
         assert all(np.isfinite(v) for v in profile.per_layer)
 
     def test_csv_output(self):
-        profile = AlignmentProfile([0.1, 0.2], 4, "tag")
+        profile = AlignmentProfile([0.1, 0.2], 4)
         lines = profile.to_csv().strip().split("\n")
         assert lines[0] == "layer,chamfer_cos,n"
         assert lines[1] == "0,0.1,4"

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -342,6 +343,63 @@ class TestCheckpoint:
         path.write_bytes(b"junk")
         with pytest.raises(VlmforgeError):
             Model.load_checkpoint(path)
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        Model(ModelConfig(seed=1)).save_checkpoint(path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[12:16])
+        name_at = 16 + cfg_len + 4 + 2  # after the parameter count and name length
+        (name_len,) = struct.unpack("<H", data[name_at - 2 : name_at])
+        (ndim,) = struct.unpack("<I", data[name_at + name_len : name_at + name_len + 4])
+        data_at = name_at + name_len + 4 + 4 * ndim
+        cuts = {"magic": 5, "header": 12, "config": 16 + cfg_len // 2,
+                "name": name_at + 1, "data": data_at + 3, "last data": len(data) - 1}
+        for cut in cuts.values():
+            path.write_bytes(data[:cut])
+            with pytest.raises(VlmforgeError, match="truncated|not a VLMCKPT"):
+                Model.load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        model = Model(ModelConfig(seed=1))
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(path)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode
+        before = path.read_bytes()
+        # a name UTF-8 cannot encode sorts last, so the write fails part way
+        model.params["\ud800"] = np.zeros(1)
+        with pytest.raises(UnicodeEncodeError):
+            model.save_checkpoint(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "plain"]
+
+
+class TestConfigJson:
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(4), Downsample(1)])
+    def test_round_trip(self, variant):
+        cfg = ModelConfig(projector=variant, seed=3)
+        assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    def test_partial_objects_take_defaults(self):
+        assert ModelConfig.from_json({}) == ModelConfig()
+        assert (ModelConfig.from_json({"projector": "downsample", "seed": 2})
+                == ModelConfig(projector=Downsample(), seed=2))
+        assert (ModelConfig.from_json({"projector": {"kind": "transformer", "heads": 4}})
+                == ModelConfig(projector=TransformerBlockProjector(heads=4)))
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2],
+        {"model_dims": 8},
+        {"projector": "conv"},
+        {"projector": 3},
+        {"projector": {"heads": 2}},
+        {"projector": {"kind": "linear", "factor": 2}},
+    ])
+    def test_malformed_rejected(self, obj):
+        with pytest.raises(ConfigMismatchError):
+            ModelConfig.from_json(obj)
 
 
 def test_init_is_seed_deterministic():

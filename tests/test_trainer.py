@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from vlmforge.packing import ByteTokenizer, pack_sft
 from vlmforge.trainer import (
     ALL_TRAINABLE,
     PROJECTOR_ONLY,
+    CLIP_NORM,
     AdamW,
     FreezePolicy,
     LogRecord,
@@ -92,6 +95,48 @@ class TestFreezePolicy:
         stage = StageSpec("pretrain", ALL_TRAINABLE, steps=5, lr=0.0)
         run_stage(stage, model, doc_batches(fixture_docs, tok, cfg))
         assert {g: model.group_checksum(g) for g in model.group_names()} == before
+
+
+def reference_adamw_step(params, m, v, t, grads, lr):
+    """AdamW with clipping written out with fresh arrays: the formula the
+    optimizer must reproduce bit for bit."""
+    b1, b2, eps, wd, clip = 0.9, 0.95, 1e-8, 0.05, 1.0
+    sq = 0.0
+    for name in m:
+        sq += float((grads[name] * grads[name]).sum())
+    norm = math.sqrt(sq)
+    scale = clip / norm if norm > clip else 1.0
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    for name in m:
+        g = grads[name] * scale
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        mhat, vhat = m[name] / bc1, v[name] / bc2
+        params[name] = params[name] - lr * (mhat / (np.sqrt(vhat) + eps) + wd * params[name])
+
+
+class TestAdamW:
+    def test_in_place_step_matches_reference(self):
+        model = Model(small_cfg())
+        opt = AdamW(model, ALL_TRAINABLE, 1e-3)
+        names = list(opt.m)
+        params = {n: model.params[n].copy() for n in names}
+        m = {n: np.zeros_like(params[n]) for n in names}
+        v = {n: np.zeros_like(params[n]) for n in names}
+        rng = np.random.default_rng(0)
+        clipped = []
+        for t, spread in enumerate((1e-4, 10.0, 1e-3, 5.0), start=1):
+            grads = {n: rng.normal(0.0, spread, size=params[n].shape) for n in names}
+            clipped.append(math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                           > CLIP_NORM)
+            given = {n: g.copy() for n, g in grads.items()}
+            opt.step(grads, 1e-2 * t)
+            reference_adamw_step(params, m, v, t, grads, 1e-2 * t)
+            for n in names:
+                assert np.array_equal(grads[n], given[n]), n
+                assert np.array_equal(model.params[n], params[n]), n
+                assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n]), n
+        assert clipped == [False, True, False, True]
 
 
 class TestRunStage:
