@@ -184,7 +184,11 @@ def _plan_from_json(path) -> trainer.StagePlan:
     stages = []
     for entry in obj["stages"]:
         fields = fields_from_json(trainer.StageSpec, entry)
-        fields["policy"] = trainer.FreezePolicy(frozenset(fields["policy"]))
+        policy = fields["policy"]
+        if not isinstance(policy, list) or not all(isinstance(g, str) for g in policy):
+            raise VlmforgeError(f"{path}: a stage's policy must be a list of group names, "
+                                f"not {policy!r}")
+        fields["policy"] = trainer.FreezePolicy(frozenset(policy))
         stages.append(trainer.StageSpec(**fields))
     return trainer.StagePlan(stages)
 
@@ -372,8 +376,10 @@ def build_parser() -> Parser:
     p.add_argument("docs")
     p.add_argument("out_shard")
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--res", type=int, default=336)
-    p.add_argument("--patch", type=int, default=14)
+    p.add_argument("--res", type=int, default=ModelConfig.resolution,
+                   help="image resolution (default: ModelConfig's)")
+    p.add_argument("--patch", type=int, default=ModelConfig.patch,
+                   help="patch size (default: ModelConfig's)")
     p.add_argument("--downsample", type=int, choices=[1, 2], default=1)
     p.add_argument("--format", choices=["interleaved-jsonl", "pairs-jsonl"],
                    default="interleaved-jsonl")

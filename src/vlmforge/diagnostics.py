@@ -74,29 +74,25 @@ def alignment_profile(
 ) -> AlignmentProfile:
     """Per-layer cross-modal Chamfer cosine, averaged over the batch.
 
-    Samples missing either modality contribute nothing; a batch with no
-    two-modality sample is an error.
+    Samples missing either modality contribute nothing; the others run
+    through the model as one batch. A batch with no two-modality sample is
+    an error.
     """
-    sums: np.ndarray | None = None
-    used = 0
+    used, masks = [], []
     for sample in samples:
         visual = sample.modality_mask == IMAGE
         textual = sample.modality_mask == TEXT
-        if not visual.any() or not textual.any():
-            continue
-        trace = model.forward(sample, pixels)
-        values = [
-            chamfer_cosine(layer[visual], layer[textual], variant)
-            for layer in trace.hidden
-        ]
-        if sums is None:
-            sums = np.zeros(len(values))
-        sums += values
-        used += 1
-    if used == 0:
+        if visual.any() and textual.any():
+            used.append(sample)
+            masks.append((visual, textual))
+    if not used:
         raise VlmforgeError("alignment_profile: no sample carries both modalities")
+    sums = 0.0
+    for (visual, textual), trace in zip(masks, model.forward(used, pixels)):
+        sums += np.array([chamfer_cosine(layer[visual], layer[textual], variant)
+                          for layer in trace.hidden])
     return AlignmentProfile(
-        per_layer=[float(v / used) for v in sums],
-        sample_count=used,
+        per_layer=[float(v / len(used)) for v in sums],
+        sample_count=len(used),
         variant=variant,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigMismatchError, VlmforgeError
 from .model import fields_from_json
-from .packing import ByteTokenizer, ImageSlot, PackedSample, TEXT, IMAGE
+from .packing import ByteTokenizer, PackedSample, append_text, pack_context
 from .seeding import substream
 
 METRICS = ("exact-match", "candidate-rank")
@@ -80,16 +80,6 @@ class EvalReport:
         return buf.getvalue()
 
 
-def _append_block(ids, modality, slots, tok, slot_length, image_id, text):
-    if image_id is not None:
-        slots.append(ImageSlot(len(ids), slot_length, image_id))
-        ids.extend([tok.img] * slot_length)
-        modality.extend([IMAGE] * slot_length)
-    encoded = tok.encode(text)
-    ids.extend(encoded)
-    modality.extend([TEXT] * len(encoded))
-
-
 def build_kshot(
     item: EvalItem,
     k: int,
@@ -109,42 +99,14 @@ def build_kshot(
         raise VlmforgeError(f"k={k} exceeds demo pool size {len(demo_pool)}")
     rng = substream(seed, f"eval/{item.item_id}")
     chosen = [demo_pool[i] for i in rng.choice(len(demo_pool), size=k, replace=False)]
-    ids: list[int] = [tok.bos]
-    modality: list[int] = [TEXT]
-    slots: list[ImageSlot] = []
-    for demo in chosen:
-        _append_block(ids, modality, slots, tok, slot_length, demo.image_id,
-                      demo.prompt + demo.answer)
-        ids.append(tok.eos)
-        modality.append(TEXT)
-    _append_block(ids, modality, slots, tok, slot_length, item.image_id, item.prompt)
-    if len(ids) > max_positions:
+    blocks = [(d.image_id, d.prompt + d.answer) for d in chosen]
+    packed = pack_context(blocks + [(item.image_id, item.prompt)], tok, slot_length)
+    if len(packed) > max_positions:
         raise ConfigMismatchError(
-            f"k-shot context of {len(ids)} tokens exceeds max_positions "
+            f"k-shot context of {len(packed)} tokens exceeds max_positions "
             f"{max_positions}; use a smaller k or a larger model context"
         )
-    return PackedSample(
-        np.asarray(ids, dtype=np.uint32),
-        np.asarray(modality, dtype=np.uint8),
-        np.zeros(len(ids), dtype=np.uint8),
-        slots,
-        "sft",
-    )
-
-
-def _with_candidate(packed, tok, candidate: str) -> PackedSample:
-    """The context followed by the candidate's tokens, which alone carry loss."""
-    cand_ids = tok.encode(candidate)
-    if not cand_ids:
-        raise VlmforgeError("empty candidate string")
-    L = len(packed)
-    tokens = np.concatenate([packed.tokens, np.asarray(cand_ids, dtype=np.uint32)])
-    modality = np.concatenate(
-        [packed.modality_mask, np.full(len(cand_ids), TEXT, dtype=np.uint8)]
-    )
-    loss = np.zeros(len(tokens), dtype=np.uint8)
-    loss[L:] = 1
-    return PackedSample(tokens, modality, loss, list(packed.image_slots), packed.stage_tag)
+    return packed
 
 
 def score_item(
@@ -171,7 +133,10 @@ def score_item(
     if metric == "candidate-rank":
         if not item.candidates:
             raise VlmforgeError("candidate-rank requires a candidate list")
-        scored = [_with_candidate(packed, tok, cand) for cand in item.candidates]
+        if not all(item.candidates):
+            raise VlmforgeError("empty candidate string")
+        scored = [append_text(packed, tok.encode(cand), loss=True)
+                  for cand in item.candidates]
         losses = model.sequence_loss(scored, pixels)
         best = int(np.argmin(losses))  # ties break toward the first listed
         prediction = item.candidates[best]
@@ -206,9 +171,7 @@ def run_eval(
 
 
 def _item_from_json(obj) -> EvalItem:
-    fields = fields_from_json(EvalItem, obj)
-    fields["item_id"] = str(fields["item_id"])
-    return EvalItem(**fields)
+    return EvalItem(**fields_from_json(EvalItem, obj))
 
 
 def load_task(path) -> EvalTask:

@@ -29,10 +29,13 @@ Parameters live in a flat name -> array store; the name's first component
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
 import struct
+import types
+import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -40,7 +43,7 @@ from scipy.special import erf
 
 from .errors import ConfigMismatchError, VlmforgeError
 from .manifest import atomic_open
-from .packing import TEXT, PackedSample, tokens_per_image
+from .packing import TEXT, ByteTokenizer, PackedSample, append_text, tokens_per_image
 
 logger = logging.getLogger(__name__)
 
@@ -76,10 +79,17 @@ ProjectorVariant = Linear | TransformerBlockProjector | Downsample
 PROJECTORS = {cls.kind: cls for cls in (Linear, TransformerBlockProjector, Downsample)}
 
 
+# JSON value types, and their names, that a field of each scalar type takes
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), type(None): ((type(None),), "null")}
+
+
 def fields_from_json(cls, obj) -> dict:
     """A JSON object's keys as keyword arguments for dataclass `cls`, which
-    supplies the defaults; a non-object, an unknown key or a missing required
-    key raises ConfigMismatchError."""
+    supplies the defaults; a non-object, an unknown key, a missing required
+    key or a value of the wrong type raises ConfigMismatchError. Fields of a
+    scalar type, or a union of them, are type-checked here; the callers
+    convert the others (projectors, policies, candidate lists)."""
     name = cls.__name__
     if not isinstance(obj, dict):
         raise ConfigMismatchError(f"a {name} must be a JSON object, not {obj!r}")
@@ -91,6 +101,14 @@ def fields_from_json(cls, obj) -> dict:
                and f.default is f.default_factory is MISSING]
     if missing:
         raise ConfigMismatchError(f"{name} lacks required keys: {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        hint = hints[key]
+        options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        if all(o in _JSON_TYPES for o in options) and not any(
+                type(value) in _JSON_TYPES[o][0] for o in options):
+            expected = " or ".join(_JSON_TYPES[o][1] for o in options)
+            raise ConfigMismatchError(f"{name} key {key!r} must be {expected}, not {value!r}")
     return dict(obj)
 
 
@@ -649,15 +667,23 @@ class Model:
             return _Pass(layout, tokens, text, normed, final_ln, kept, images, [])
         return _Pass(layout, tokens, text, normed, final_ln, [], None, kept)
 
-    def forward(self, sample: PackedSample, pixels: dict[str, np.ndarray] | None = None):
-        """Run one merged sequence through the decoder, capturing hidden states.
+    def forward(self, sample: PackedSample | list[PackedSample],
+                pixels: dict[str, np.ndarray] | None = None):
+        """Run merged sequences through the decoder, capturing hidden states.
 
-        This is the batched pass at B=1, with no padding.
+        One sample gives one ForwardTrace (the batched pass at B=1, with no
+        padding). A list runs as one batch, its images encoded once, and
+        gives one trace per sample.
         """
         p = self.params
-        fw = self._forward([sample], pixels, train=False)
+        samples = [sample] if isinstance(sample, PackedSample) else list(sample)
+        fw = self._forward(samples, pixels, train=False)
         logits = fw.normed @ p["head.w"] + p["head.b"]
-        return ForwardTrace(logits, fw.hidden)
+        if isinstance(sample, PackedSample):
+            return ForwardTrace(logits, fw.hidden)
+        ends = list(itertools.accumulate(len(s) for s in samples))
+        return [ForwardTrace(logits[a:b], [h[a:b] for h in fw.hidden])
+                for a, b in zip([0] + ends, ends)]
 
     # -- loss and gradients
 
@@ -779,29 +805,16 @@ class Model:
 
     def generate(self, prefix: PackedSample, pixels=None, max_new: int = 32) -> list[int]:
         """Greedy continuation; stops at EOS (id vocab-specific: 257)."""
-        from .packing import ByteTokenizer  # avoid cycle at import
-
         eos = ByteTokenizer().eos
         if len(prefix) + max_new > self.cfg.max_positions:
             raise ConfigMismatchError("prefix + max_new exceeds max_positions")
-        tokens = list(prefix.tokens.astype(int))
-        modality = list(prefix.modality_mask.astype(int))
         out: list[int] = []
         for _ in range(max_new):
-            sample = PackedSample(
-                np.asarray(tokens, dtype=np.uint32),
-                np.asarray(modality, dtype=np.uint8),
-                np.zeros(len(tokens), dtype=np.uint8),
-                list(prefix.image_slots),
-                prefix.stage_tag,
-            )
-            trace = self.forward(sample, pixels)
+            trace = self.forward(append_text(prefix, out, loss=False), pixels)
             nxt = int(np.argmax(trace.logits[-1]))
             if nxt == eos:
                 break
             out.append(nxt)
-            tokens.append(nxt)
-            modality.append(TEXT)
         return out
 
     # -- checkpoints

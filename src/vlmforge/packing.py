@@ -1,9 +1,17 @@
-"""Token packing: documents and demos -> fixed-vocab sequences with masks.
+"""Token packing: the one owner of the packed-sample layout.
 
 The tokenizer is byte-level (256 byte ids + BOS/EOS/IMG/PAD), so encode/decode
 round-trips any UTF-8 string exactly. Images enter packed sequences as runs of
 the IMG placeholder; the image_slots table records where each image sits so
 pixels can be bound at batch time without repacking shards.
+
+Every PackedSample is built here. One appender writes a block (an image's IMG
+run and slot, then text bytes) and one finisher derives the modality mask
+from the slots and puts loss on the TEXT positions from a start index: 1 for
+documents (`pack_document`), the answer for SFT demos (`pack_sft`), none for
+in-context prompts (`pack_context`). `append_text` extends a sample with text
+tokens, for candidate ranking and greedy generation. Shards store the same
+layout and are checked against it as they are read.
 """
 
 from __future__ import annotations
@@ -71,6 +79,8 @@ class PackedSample:
         L = len(self)
         if not (len(self.modality_mask) == len(self.loss_mask) == L):
             raise ValueError("mask lengths disagree with tokens")
+        if (self.modality_mask > 1).any() or (self.loss_mask > 1).any():
+            raise ValueError("masks hold values other than 0 and 1")
         covered = np.zeros(L, dtype=bool)
         for slot in self.image_slots:
             if slot.start < 0 or slot.start + slot.length > L:
@@ -101,28 +111,34 @@ def tokens_per_image(resolution: int, patch: int, downsample: int = 1) -> int:
     return (grid // downsample) ** 2
 
 
-def _segment_blocks(doc, tok, slot_length):
-    """Per-segment (token ids, image_id or None) blocks in document order."""
-    blocks = []
-    for seg in doc.segments:
-        if isinstance(seg, ImageSegment):
-            blocks.append(([tok.img] * slot_length, seg.image_id))
-        elif isinstance(seg, TextSegment):
-            blocks.append((tok.encode(seg.text), None))
-        else:
-            raise TypeError(f"unknown segment type {type(seg)!r}")
-    return blocks
+def _append_block(ids, slots, tok, slot_length, image_id=None, text=""):
+    """Append one block to a sample under construction: the IMG run of
+    `image_id`, recorded as an ImageSlot, then the bytes of `text`."""
+    if image_id is not None:
+        slots.append(ImageSlot(len(ids), slot_length, image_id))
+        ids.extend([tok.img] * slot_length)
+    ids.extend(tok.encode(text))
 
 
-def _finish_sample(ids, image_ids_at, tok, stage_tag):
-    tokens = np.asarray(ids, dtype=np.uint32)
+def _finish_sample(ids, slots, stage_tag, loss_from) -> PackedSample:
+    """The sample of `ids` and `slots`: IMAGE at the slots, TEXT elsewhere, and
+    loss on the TEXT positions from index `loss_from` on."""
     modality = np.zeros(len(ids), dtype=np.uint8)
-    slots = []
-    for start, length, image_id in image_ids_at:
-        modality[start : start + length] = IMAGE
-        slots.append(ImageSlot(start, length, image_id))
-    loss = ((modality == TEXT) & (np.arange(len(ids)) > 0)).astype(np.uint8)
-    return PackedSample(tokens, modality, loss, slots, stage_tag)
+    for slot in slots:
+        modality[slot.start : slot.start + slot.length] = IMAGE
+    loss = np.zeros(len(ids), dtype=np.uint8)
+    loss[loss_from:] = modality[loss_from:] == TEXT
+    return PackedSample(np.asarray(ids, dtype=np.uint32), modality, loss, slots, stage_tag)
+
+
+def append_text(sample: PackedSample, ids, loss: bool) -> PackedSample:
+    """`sample` followed by the TEXT tokens `ids`, its slots unchanged. With
+    `loss` the appended tokens alone carry loss; without, no position does."""
+    tokens = np.concatenate([sample.tokens, np.asarray(ids, dtype=np.uint32)])
+    modality = np.concatenate([sample.modality_mask, np.full(len(ids), TEXT, dtype=np.uint8)])
+    loss_mask = np.zeros(len(tokens), dtype=np.uint8)
+    loss_mask[len(sample):] = loss
+    return PackedSample(tokens, modality, loss_mask, list(sample.image_slots), sample.stage_tag)
 
 
 def pack_document(
@@ -134,47 +150,44 @@ def pack_document(
     """Pack one document into <= max_len samples, splitting between segments.
 
     Every sample starts with BOS; EOS closes the document (last sample only).
-    Image slots are never split; an over-long text segment is chunked as a
-    last resort. Loss targets are every TEXT position after position 0.
+    Image slots are never split; a text segment longer than any sample spills
+    over into the next ones as a last resort. Loss targets are every TEXT
+    position after position 0.
     """
     if max_len <= slot_length + 2:
         raise ConfigMismatchError(
             f"max_len {max_len} too small for slot length {slot_length}"
         )
-    blocks = _segment_blocks(doc, tok, slot_length)
     samples: list[PackedSample] = []
     ids: list[int] = [tok.bos]
-    slots: list[tuple[int, int, str]] = []
+    slots: list[ImageSlot] = []
 
     def flush():
         nonlocal ids, slots
         if len(ids) > 1:
-            samples.append(_finish_sample(ids, slots, tok, "pretrain"))
+            samples.append(_finish_sample(ids, slots, "pretrain", loss_from=1))
         ids = [tok.bos]
         slots = []
 
-    for i, (block_ids, image_id) in enumerate(blocks):
-        if i == len(blocks) - 1:
-            block_ids = block_ids + [tok.eos]
-        if image_id is not None and len(block_ids) > max_len - 1:
-            raise ConfigMismatchError(
-                f"image slot of length {slot_length} cannot fit max_len {max_len}"
-            )
-        if image_id is None:
-            # chunk text that cannot fit any sample on its own
-            while len(block_ids) > max_len - 1:
-                room = max_len - len(ids)
-                if room <= 0:
-                    flush()
-                    room = max_len - 1
-                ids.extend(block_ids[:room])
-                block_ids = block_ids[room:]
-                flush()
-        if len(ids) + len(block_ids) > max_len:
+    for i, seg in enumerate(doc.segments):
+        last = i == len(doc.segments) - 1  # its block ends with EOS
+        if isinstance(seg, ImageSegment):
+            image_id, text, n = seg.image_id, "", slot_length
+        elif isinstance(seg, TextSegment):
+            image_id, text, n = None, seg.text, len(tok.encode(seg.text))
+        else:
+            raise TypeError(f"unknown segment type {type(seg)!r}")
+        # a block that fits a sample of its own never straddles two
+        if len(ids) + n + last > max_len and n + last < max_len:
             flush()
-        if image_id is not None:
-            slots.append((len(ids), slot_length, image_id))
-        ids.extend(block_ids)
+        _append_block(ids, slots, tok, slot_length, image_id, text)
+        if last:
+            ids.append(tok.eos)
+        while len(ids) > max_len:  # only text gets here (max_len > slot_length + 2)
+            rest = ids[max_len:]
+            del ids[max_len:]
+            flush()
+            ids.extend(rest)
     flush()
     return samples
 
@@ -192,19 +205,25 @@ def pack_sft(
     if not prompt or not answer:
         raise ValueError("prompt and answer must be non-empty")
     ids: list[int] = [tok.bos]
-    slots: list[tuple[int, int, str]] = []
-    if image_id is not None:
-        slots.append((len(ids), slot_length, image_id))
-        ids.extend([tok.img] * slot_length)
-    ids.extend(tok.encode(prompt))
+    slots: list[ImageSlot] = []
+    _append_block(ids, slots, tok, slot_length, image_id, prompt)
     answer_start = len(ids)
-    ids.extend(tok.encode(answer))
+    _append_block(ids, slots, tok, slot_length, text=answer)
     ids.append(tok.eos)
-    sample = _finish_sample(ids, slots, tok, "sft")
-    loss = np.zeros(len(ids), dtype=np.uint8)
-    loss[answer_start:] = 1
-    sample.loss_mask = loss
-    return sample
+    return _finish_sample(ids, slots, "sft", loss_from=answer_start)
+
+
+def pack_context(blocks, tok: ByteTokenizer, slot_length: int) -> PackedSample:
+    """Pack an in-context prompt: BOS, then each (image_id or None, text) block
+    as an image slot and the text's bytes, with EOS between blocks. No
+    position carries loss."""
+    ids: list[int] = [tok.bos]
+    slots: list[ImageSlot] = []
+    for i, (image_id, text) in enumerate(blocks):
+        if i:
+            ids.append(tok.eos)
+        _append_block(ids, slots, tok, slot_length, image_id, text)
+    return _finish_sample(ids, slots, "sft", loss_from=len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +258,11 @@ def _encode_record(sample: PackedSample) -> bytes:
 
 
 def _decode_record(payload: bytes) -> PackedSample:
+    """A record's sample; struct.error or ValueError if the bytes do not hold one."""
     view = memoryview(payload)
     L, tag = struct.unpack_from("<IB", view, 0)
+    if tag not in _STAGE_NAMES:
+        raise ValueError(f"unknown stage tag {tag}")
     off = 5
     tokens = np.frombuffer(view, dtype="<u4", count=L, offset=off).copy()
     off += 4 * L
@@ -257,6 +279,8 @@ def _decode_record(payload: bytes) -> PackedSample:
         image_id = bytes(view[off : off + id_len]).decode("utf-8")
         off += id_len
         slots.append(ImageSlot(start, length, image_id))
+    if off != len(payload):
+        raise ValueError(f"fields end at byte {off} of a {len(payload)}-byte record")
     return PackedSample(tokens, modality, loss, slots, _STAGE_NAMES[tag])
 
 
@@ -277,7 +301,8 @@ def write_shard(samples, path, vocab_hash: bytes, cfg_hash: bytes) -> int:
 
 
 def read_shard(path, vocab_hash: bytes | None = None, cfg_hash: bytes | None = None):
-    """Stream samples back from a shard, refusing mismatched vocab/config."""
+    """Stream samples back from a shard, refusing mismatched vocab/config and
+    any record that does not decode to a valid sample."""
     with open(path, "rb") as fh:
         header = fh.read(8 + 4 + 32 + 32)
         if len(header) < 76 or header[:8] != SHARD_MAGIC:
@@ -302,7 +327,12 @@ def read_shard(path, vocab_hash: bytes | None = None, cfg_hash: bytes | None = N
             payload = fh.read(length)
             if len(payload) < length:
                 raise ShardFormatError(f"{path}: truncated record at byte {offset}")
-            yield _decode_record(payload)
+            try:
+                sample = _decode_record(payload)
+                sample.validate()
+            except (struct.error, ValueError) as exc:
+                raise ShardFormatError(f"{path}: bad record at byte {offset}: {exc}") from None
+            yield sample
 
 
 # ---------------------------------------------------------------------------

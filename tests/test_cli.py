@@ -5,6 +5,7 @@ import pytest
 from vlmforge.cli import main
 from vlmforge.fixtures import FixtureSpec, fixture_gen
 from vlmforge.model import Downsample, Model, ModelConfig, TransformerBlockProjector
+from vlmforge.packing import ByteTokenizer, config_hash, pack_sft, write_shard
 from vlmforge.trainer import RunLog
 
 
@@ -265,6 +266,23 @@ class TestBadInputsExit2:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,obj,key,value", [
+        ("--config", {"model_dim": "32"}, "model_dim", "'32'"),
+        ("--plan", {"stages": [{"name": "pretrain", "policy": ["llm"], "steps": "x",
+                                "lr": 0.01}]}, "steps", "'x'"),
+        ("--plan", {"stages": [{"name": "pretrain", "policy": "llm", "steps": 1,
+                                "lr": 0.01}]}, "policy", "'llm'"),
+    ])
+    def test_wrong_typed_value(self, corpora, tmp_path, capsys, flag, obj, key, value):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(obj))
+        preset = ["--preset", "d"] if flag == "--config" else []
+        rc = main(["train", "run", *preset, flag, str(path), "--corpus-b", str(corpora["pairs"]),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and value in err  # names the key and the value as given
+
     def test_preset_without_caption_pairs(self, corpora, tmp_path, capsys):
         rc = main(["train", "run", "--preset", "c", "--corpus-a", str(corpora["interleaved"]),
                    "--out", str(tmp_path / "o"), "--steps", "1,1,1"])
@@ -290,3 +308,47 @@ class TestBadInputsExit2:
                    "--out", str(tmp_path / "a.csv")])
         assert rc == 2
         assert "truncated" in capsys.readouterr().err
+
+
+class TestShards:
+    """pack run's default geometry fits the default model, and diag align
+    refuses corrupt shard records with exit 2."""
+
+    @staticmethod
+    def align(tmp_path, shard):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        return main(["diag", "align", "--ckpt", str(ckpt), "--shard", str(shard),
+                     "--out", str(tmp_path / "a.csv")])
+
+    @staticmethod
+    def pack(corpora, tmp_path):
+        shard = tmp_path / "d.shard"
+        assert main(["pack", "run", str(corpora["interleaved"]), str(shard),
+                     "--max-len", "96"]) == 0
+        return shard
+
+    def test_default_geometry_fits_default_model(self, corpora, tmp_path):
+        assert self.align(tmp_path, self.pack(corpora, tmp_path)) == 0
+
+    @pytest.mark.parametrize("offset,value,message", [
+        (80, (10**6).to_bytes(4, "little"), "buffer is smaller"),  # sample length
+        (84, b"\x07", "unknown stage tag 7"),
+    ], ids=["length", "tag"])
+    def test_corrupt_record_exits_2(self, corpora, tmp_path, capsys, offset, value, message):
+        shard = self.pack(corpora, tmp_path)
+        data = bytearray(shard.read_bytes())  # header 76 B, record length, record
+        data[offset : offset + len(value)] = value
+        shard.write_bytes(bytes(data))
+        assert self.align(tmp_path, shard) == 2
+        assert message in capsys.readouterr().err
+
+    def test_out_of_bounds_slot_exits_2(self, tmp_path, capsys):
+        cfg, tok = ModelConfig(), ByteTokenizer()
+        sample = pack_sft(("img", "what? ", "y"), tok, cfg.slot_length)
+        sample.image_slots[0].start = len(sample)
+        shard = tmp_path / "s.shard"
+        write_shard([sample], shard, tok.vocab_hash(),
+                    config_hash(cfg.resolution, cfg.patch, cfg.downsample))
+        assert self.align(tmp_path, shard) == 2
+        assert "out of bounds" in capsys.readouterr().err

@@ -91,10 +91,8 @@ class _StubModel:
     def __init__(self, hidden_builder):
         self.hidden_builder = hidden_builder
 
-    def forward(self, sample, pixels=None):
-        hidden = self.hidden_builder(sample)
-        L = len(sample)
-        return ForwardTrace(np.zeros((L, 4)), hidden)
+    def forward(self, samples, pixels=None):
+        return [ForwardTrace(np.zeros((len(s), 4)), self.hidden_builder(s)) for s in samples]
 
 
 def mixed_sample(n_image=3, n_text=5):
@@ -142,6 +140,24 @@ class TestAlignmentProfile:
         profile = alignment_profile(tiny_model, samples, pixels)
         assert len(profile.per_layer) == tiny_model.cfg.llm_layers + 1
         assert all(np.isfinite(v) for v in profile.per_layer)
+
+    def test_batched_profile_is_mean_of_single_sample_profiles(self, tiny_model, tok):
+        from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
+        from vlmforge.packing import bind_pixels, pack_document
+
+        docs = [InterleavedDocument(f"d{i}", [ImageSegment(f"i{i}"), TextSegment("x" * (3 + 5 * i)),
+                                              ImageSegment(f"j{i}")])
+                for i in range(4)]
+        docs.append(InterleavedDocument("t", [TextSegment("text only")]))
+        samples = [s for d in docs for s in pack_document(d, tok, tiny_model.cfg.slot_length, 64)]
+        pixels = bind_pixels(samples, 16)
+        batched = alignment_profile(tiny_model, samples, pixels)
+        singles = [alignment_profile(tiny_model, [s], pixels).per_layer
+                   for s in samples if (s.modality_mask == TEXT).any()
+                   and (s.modality_mask == IMAGE).any()]
+        assert batched.sample_count == len(singles) == 4
+        np.testing.assert_allclose(batched.per_layer, np.mean(singles, axis=0),
+                                   rtol=0, atol=1e-12)
 
     def test_csv_output(self):
         profile = AlignmentProfile([0.1, 0.2], 4)

@@ -12,7 +12,7 @@ from vlmforge.evaluation import (
     score_item,
 )
 from vlmforge.model import Model
-from vlmforge.packing import IMAGE, TEXT, bind_pixels, pack_sft, pixels_for
+from vlmforge.packing import IMAGE, TEXT, append_text, bind_pixels, pack_sft, pixels_for
 from vlmforge.trainer import ALL_TRAINABLE, StageSpec, run_stage
 
 
@@ -248,15 +248,13 @@ def color_task(metric, n_items=6, n_demos=8):
 
 class TestBatchedScoring:
     def test_batched_candidate_losses_equal_single_calls(self, tok):
-        from vlmforge.evaluation import _with_candidate
-
         model = Model(toy_cfg())
         task, pixels = color_task("candidate-rank")
         item = task.items[0]
         packed = build_kshot(item, 4, task.demo_pool, 0, tok, model.cfg.slot_length,
                              model.cfg.max_positions)
         candidates = ["red", "blue", "green", "gold", "a longer candidate"]
-        scored = [_with_candidate(packed, tok, c) for c in candidates]
+        scored = [append_text(packed, tok.encode(c), loss=True) for c in candidates]
         batched = model.sequence_loss(scored, pixels)
         single = [model.sequence_loss(s, pixels) for s in scored]
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from vlmforge.packing import (
     ByteTokenizer,
     ImageSlot,
     PackedSample,
+    append_text,
     bind_pixels,
     config_hash,
     pack_document,
@@ -151,6 +154,22 @@ class TestPackSft:
             pack_sft((None, "", "a"), tok, 4)
 
 
+class TestAppendText:
+    @pytest.mark.parametrize("loss", [True, False])
+    def test_loss_only_on_appended_tokens(self, tok, loss):
+        base = pack_sft(("img", "what? ", "yes"), tok, 4)  # carries loss of its own
+        out = append_text(base, tok.encode("no"), loss=loss)
+        L = len(base)
+        assert list(out.tokens) == list(base.tokens) + tok.encode("no")
+        assert out.tokens.dtype == np.uint32 and out.loss_mask.dtype == np.uint8
+        assert list(out.loss_mask) == [0] * L + [int(loss)] * 2
+        assert list(out.modality_mask) == list(base.modality_mask) + [TEXT] * 2
+        assert out.image_slots == base.image_slots
+        assert out.image_slots is not base.image_slots
+        assert out.stage_tag == base.stage_tag
+        out.validate(slot_length=4)
+
+
 def random_samples(rng, n, tok):
     out = []
     for i in range(n):
@@ -198,6 +217,30 @@ class TestShardIO:
         write_shard([], path, tok.vocab_hash(), config_hash(16, 8, 1))
         with pytest.raises(ShardFormatError, match="config"):
             list(read_shard(path, cfg_hash=config_hash(16, 8, 2)))
+
+    # a bad sample length, stage tag and slot are refused through `diag align`
+    # in test_cli.py
+    @pytest.mark.parametrize("corruption,message", [
+        ("image id", "utf-8"),
+        ("trailing bytes", "fields end at byte"),
+        ("loss value", "other than 0 and 1"),
+    ])
+    def test_corrupt_record_refused(self, tmp_path, tok, corruption, message):
+        sample = pack_sft(("img", "what? ", "y"), tok, 4)
+        L = len(sample)
+        if corruption == "loss value":
+            sample.loss_mask[-1] = 7
+        path = tmp_path / "x.shard"
+        write_shard([sample], path, tok.vocab_hash(), config_hash(16, 8, 1))
+        data = bytearray(path.read_bytes())  # header 76 B, record length, record
+        if corruption == "image id":
+            data[85 + 6 * L + 4 + 10] = 0xFF
+        elif corruption == "trailing bytes":
+            struct.pack_into("<I", data, 76, len(data) - 80 + 2)
+            data += b"\x00\x00"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ShardFormatError, match=message):
+            list(read_shard(path))
 
     def test_not_a_shard(self, tmp_path):
         path = tmp_path / "x.shard"
