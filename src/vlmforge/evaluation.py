@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigMismatchError, VlmforgeError
 from .model import fields_from_json
-from .packing import ByteTokenizer, PackedSample, append_text, pack_context
+from .packing import ByteTokenizer, PackedSample, pack_context
 from .seeding import substream
 
 METRICS = ("exact-match", "candidate-rank")
@@ -50,13 +50,18 @@ class EvalTask:
                 raise VlmforgeError(
                     f"item {item.item_id!r} appears in both items and demo_pool"
                 )
-            if self.metric == "candidate-rank":
-                if not item.candidates:
+            cands = item.candidates
+            if cands is None:
+                if self.metric == "candidate-rank":
                     raise VlmforgeError(f"item {item.item_id!r} has no candidates")
-                if item.answer not in item.candidates:
-                    raise VlmforgeError(
-                        f"item {item.item_id!r}: answer not among candidates"
-                    )
+            elif not (isinstance(cands, list) and cands
+                      and all(isinstance(c, str) and c for c in cands)):
+                raise VlmforgeError(
+                    f"item {item.item_id!r}: 'candidates' must be a non-empty list "
+                    f"of non-empty strings, not {cands!r}"
+                )
+            elif self.metric == "candidate-rank" and item.answer not in cands:
+                raise VlmforgeError(f"item {item.item_id!r}: answer not among candidates")
 
 
 @dataclass
@@ -119,10 +124,11 @@ def score_item(
 ) -> tuple[str, int]:
     """Return (prediction, correct bit) for one packed query context.
 
-    Exact match generates at most MAX_NEW_TOKENS tokens, fewer when the context
-    leaves less room in `max_positions`. Candidate ranking scores every
-    candidate of the item in one batch, so the context images are encoded
-    once.
+    Either metric encodes the item's images once and decodes the context
+    once, then continues it from the model's KV cache. Exact match generates
+    at most MAX_NEW_TOKENS tokens, fewer when the context leaves less room in
+    `max_positions`. Candidate ranking extends the context by each candidate
+    in turn, rewinding the cache between them.
     """
     if metric == "exact-match":
         room = model.cfg.max_positions - len(packed)
@@ -133,11 +139,8 @@ def score_item(
     if metric == "candidate-rank":
         if not item.candidates:
             raise VlmforgeError("candidate-rank requires a candidate list")
-        if not all(item.candidates):
-            raise VlmforgeError("empty candidate string")
-        scored = [append_text(packed, tok.encode(cand), loss=True)
-                  for cand in item.candidates]
-        losses = model.sequence_loss(scored, pixels)
+        losses = model.continuation_losses(
+            packed, [tok.encode(cand) for cand in item.candidates], pixels)
         best = int(np.argmin(losses))  # ties break toward the first listed
         prediction = item.candidates[best]
         return prediction, int(prediction == item.answer)

@@ -22,6 +22,16 @@ need: frozen groups get no gradient buffers, no weight-gradient matmuls and
 no reductions, and it stops at the projector's input while the vision
 encoder is frozen.
 
+Decoding a continuation of one sequence (greedy generation, candidate
+ranking) runs the same blocks with a `KVCache`. The prefill is the batched
+pass at B=1 over the prefix, its images encoded once, and every causal block
+also writes its keys and values into preallocated (heads, max_positions, dh)
+buffers. An extension feeds only the new text rows through the blocks: they
+take positions from the cache's length P on, write their keys and values at
+P.. and attend over [:P+n]. Setting the length back rewinds the cache to a
+shorter prefix without copying anything. `forward` and `sequence_loss`
+re-run the whole sequence and are the uncached reference for both.
+
 Parameters live in a flat name -> array store; the name's first component
 (vision / projector / embed / llm / head) is the freezing unit.
 """
@@ -43,7 +53,7 @@ from scipy.special import erf
 
 from .errors import ConfigMismatchError, VlmforgeError
 from .manifest import atomic_open
-from .packing import TEXT, ByteTokenizer, PackedSample, append_text, tokens_per_image
+from .packing import TEXT, ByteTokenizer, PackedSample, tokens_per_image
 
 logger = logging.getLogger(__name__)
 
@@ -226,12 +236,12 @@ class _Layout:
         flat = a.reshape(self.B * self.Lmax, -1)
         return flat if self.rows is None else flat[self.rows]
 
-    def add_positions(self, x, table):
-        """x += table[position of each row], in place."""
+    def add_positions(self, x, table, offset=0):
+        """x += table[offset + position of each row], in place."""
         if self.rows is None:
-            x.reshape(self.B, self.Lmax, -1)[...] += table[: self.Lmax]
+            x.reshape(self.B, self.Lmax, -1)[...] += table[offset : offset + self.Lmax]
         else:
-            x += table[self.rows % self.Lmax]
+            x += table[offset + self.rows % self.Lmax]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +317,13 @@ def _qkv_weights(p, prefix):
     return w, b
 
 
-def _attn_fwd(x, p, prefix, heads, causal, layout=None):
+def _attn_fwd(x, p, prefix, heads, causal, layout=None, past=None):
     """Multi-head attention over the flat rows of `layout` (default: one sequence).
 
     Bidirectional attention takes equal-length sequences only, since it
-    would attend to padding.
+    would attend to padding. `past` is (key buffer, value buffer, P) of one
+    sequence whose first P positions are cached: the rows, positions P..,
+    write their keys and values there and attend over [:P + rows].
     """
     N, D = x.shape
     layout = layout or _Layout([N])
@@ -319,10 +331,16 @@ def _attn_fwd(x, p, prefix, heads, causal, layout=None):
     w, b = _qkv_weights(p, prefix)
     qkv = layout.pad(x @ w + b).reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     qh, kh, vh = qkv  # (B, heads, L, dh) each
+    P, M = 0, L  # cached positions, and a causal mask size covering P + L
+    if past is not None:
+        kbuf, vbuf, P = past
+        kbuf[:, P : P + L] = kh[0]
+        vbuf[:, P : P + L] = vh[0]
+        kh, vh, M = kbuf[None, :, : P + L], vbuf[None, :, : P + L], kbuf.shape[1]
     attn = qh @ kh.transpose(0, 1, 3, 2)
     attn /= math.sqrt(dh)
     if causal:
-        attn += _causal_bias(L, attn.dtype)
+        attn += _causal_bias(M, attn.dtype)[P : P + L, : P + L]
     _softmax_(attn)
     o = layout.unpad((attn @ vh).transpose(0, 2, 1, 3))
     out = o @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
@@ -360,9 +378,9 @@ def _attn_bwd(dout, cache, p, g, prefix, heads):
     return dqkv @ w.T
 
 
-def _block_fwd(x, p, prefix, heads, causal, layout=None):
+def _block_fwd(x, p, prefix, heads, causal, layout=None, past=None):
     h1, ln1_cache = _ln_fwd(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    x2, attn_cache = _attn_fwd(h1, p, f"{prefix}.attn", heads, causal, layout)
+    x2, attn_cache = _attn_fwd(h1, p, f"{prefix}.attn", heads, causal, layout, past)
     x2 += x
     h2, ln2_cache = _ln_fwd(x2, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     pre = h2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
@@ -420,6 +438,19 @@ class _Pass:
     blocks: list
     images: tuple | None
     hidden: list[np.ndarray]
+
+
+class KVCache:
+    """Every decoder block's keys and values for one sequence's first `length`
+    positions, in buffers preallocated to max_positions. Decoding n more rows
+    writes positions length.. and advances `length` by n; setting `length`
+    back rewinds to a shorter prefix."""
+
+    def __init__(self, cfg: ModelConfig):
+        shape = (cfg.llm_layers, cfg.heads, cfg.max_positions, cfg.model_dim // cfg.heads)
+        self.k = np.empty(shape, dtype=cfg.np_dtype)
+        self.v = np.empty(shape, dtype=cfg.np_dtype)
+        self.length = 0
 
 
 class Model:
@@ -621,11 +652,13 @@ class Model:
                     f"slot length {slot.length} != model slot length {cfg.slot_length}"
                 )
 
-    def _forward(self, samples: list[PackedSample], pixels, train: bool) -> _Pass:
+    def _forward(self, samples: list[PackedSample], pixels, train: bool,
+                 kv: KVCache | None = None) -> _Pass:
         """Embed, merge the images in, and run the decoder over a whole batch.
 
         A training pass keeps what backward needs; any other pass keeps the
-        hidden states instead.
+        hidden states instead. Given an empty KVCache, the pass over its one
+        sample is that sample's prefill.
         """
         pixels = pixels or {}
         for sample in samples:
@@ -656,16 +689,29 @@ class Model:
             if train:
                 images = (dst, src, len(image_ids) * S, enc_cache, proj_cache)
         layout.add_positions(x, p["embed.pos"])
-        kept = []  # block caches or hidden states
-        if not train:
-            kept.append(x)
-        for i in range(cfg.llm_layers):
-            x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout)
-            kept.append(cache if train else x)
-        normed, final_ln = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
+        normed, final_ln, kept = self._decode(x, layout, train, kv)
         if train:
             return _Pass(layout, tokens, text, normed, final_ln, kept, images, [])
         return _Pass(layout, tokens, text, normed, final_ln, [], None, kept)
+
+    def _decode(self, x, layout: _Layout, train: bool, kv: KVCache | None = None):
+        """The decoder blocks and final LayerNorm over embedded rows.
+
+        Returns the final LayerNorm's output and cache, and the block caches
+        (training) or the hidden states (otherwise). With a KVCache the rows
+        are one sequence continuing it from its length, which then advances
+        past them.
+        """
+        cfg, p = self.cfg, self.params
+        kept = [] if train else [x]  # block caches or hidden states
+        for i in range(cfg.llm_layers):
+            past = None if kv is None else (kv.k[i], kv.v[i], kv.length)
+            x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout, past)
+            kept.append(cache if train else x)
+        if kv is not None:
+            kv.length += layout.Lmax
+        normed, final_ln = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
+        return normed, final_ln, kept
 
     def forward(self, sample: PackedSample | list[PackedSample],
                 pixels: dict[str, np.ndarray] | None = None):
@@ -673,7 +719,8 @@ class Model:
 
         One sample gives one ForwardTrace (the batched pass at B=1, with no
         padding). A list runs as one batch, its images encoded once, and
-        gives one trace per sample.
+        gives one trace per sample. Every position is recomputed: this is
+        the uncached reference for `prefill` and `extend`.
         """
         p = self.params
         samples = [sample] if isinstance(sample, PackedSample) else list(sample)
@@ -790,7 +837,8 @@ class Model:
 
         One sample gives its mean masked cross-entropy as a float. A list is
         scored as one batch, its images encoded once, and gives an array of
-        per-sample means. A sample with no masked position scores 0.
+        per-sample means. A sample with no masked position scores 0. It is
+        the uncached reference for `continuation_losses`.
         """
         samples = [sample] if isinstance(sample, PackedSample) else list(sample)
         fw = self._forward(samples, pixels, train=False)
@@ -801,17 +849,69 @@ class Model:
         losses = np.divide(ce, n, out=np.zeros(len(samples)), where=n > 0)
         return float(losses[0]) if isinstance(sample, PackedSample) else losses
 
-    # -- generation
+    # -- cached decoding
+
+    def prefill(self, sample: PackedSample, pixels=None) -> tuple[KVCache, np.ndarray]:
+        """Decode one sample, its images encoded once, into a new KVCache.
+
+        Returns the cache and the logits of the sample's last position.
+        """
+        kv = KVCache(self.cfg)
+        fw = self._forward([sample], pixels, train=False, kv=kv)
+        return kv, fw.normed[-1] @ self.params["head.w"] + self.params["head.b"]
+
+    def extend(self, kv: KVCache, ids) -> np.ndarray:
+        """Decode the text tokens `ids` at positions kv.length.. from the
+        cache, which then covers them too; returns their (n, vocab) logits."""
+        cfg, p = self.cfg, self.params
+        ids = np.asarray(ids, dtype=np.int64)
+        if kv.length + len(ids) > cfg.max_positions:
+            raise ConfigMismatchError(
+                f"sample length {kv.length + len(ids)} exceeds max_positions {cfg.max_positions}"
+            )
+        if ids.max(initial=0) >= cfg.vocab_size:
+            raise ConfigMismatchError("token id out of vocabulary range")
+        layout = _Layout([len(ids)])
+        x = p["embed.tok"][ids]
+        layout.add_positions(x, p["embed.pos"], kv.length)
+        normed, _, _ = self._decode(x, layout, False, kv)
+        return normed @ p["head.w"] + p["head.b"]
+
+    def continuation_losses(self, prefix: PackedSample, continuations, pixels=None) -> np.ndarray:
+        """Mean next-token cross-entropy of each continuation (a non-empty
+        list of text token ids) after `prefix`; equal to `sequence_loss` of
+        `append_text(prefix, ids, loss=True)`.
+
+        The prefix is decoded once: its last logits score every first token,
+        each continuation extends the cache, which is rewound to the prefix
+        after each one.
+        """
+        if not all(len(ids) for ids in continuations):
+            raise VlmforgeError("empty continuation")
+        kv, first = self.prefill(prefix, pixels)
+        losses = np.empty(len(continuations))
+        for c, ids in enumerate(continuations):
+            logits = np.vstack([first, self.extend(kv, ids)[:-1]])
+            kv.length = len(prefix)
+            losses[c] = _xent_(logits, np.asarray(ids, dtype=np.int64)).mean()
+        return losses
 
     def generate(self, prefix: PackedSample, pixels=None, max_new: int = 32) -> list[int]:
-        """Greedy continuation; stops at EOS (id vocab-specific: 257)."""
+        """Greedy continuation; stops at EOS (id vocab-specific: 257).
+
+        The prefix is prefilled once; each new token then extends the cache
+        by one position.
+        """
         eos = ByteTokenizer().eos
         if len(prefix) + max_new > self.cfg.max_positions:
             raise ConfigMismatchError("prefix + max_new exceeds max_positions")
         out: list[int] = []
-        for _ in range(max_new):
-            trace = self.forward(append_text(prefix, out, loss=False), pixels)
-            nxt = int(np.argmax(trace.logits[-1]))
+        for step in range(max_new):
+            if step == 0:
+                kv, logits = self.prefill(prefix, pixels)
+            else:
+                logits = self.extend(kv, out[-1:])[0]
+            nxt = int(np.argmax(logits))
             if nxt == eos:
                 break
             out.append(nxt)

@@ -300,6 +300,36 @@ class TestBadInputsExit2:
         assert rc == 2
         assert "answer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("candidates", ["red", ["red", 3], [], ["red", ""]])
+    def test_task_item_with_bad_candidates(self, tmp_path, capsys, candidates):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        task = tmp_path / "task.jsonl"
+        task.write_text(json.dumps({"name": "t", "metric": "candidate-rank"}) + "\n"
+                        + json.dumps({"item_id": "i0", "prompt": "p: ", "answer": "red",
+                                      "candidates": candidates}) + "\n")
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "'candidates'" in capsys.readouterr().err
+
+    def test_candidate_past_max_positions(self, tmp_path, capsys):
+        from vlmforge.evaluation import EvalItem, EvalTask, save_task
+
+        cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
+                          vision_layers=1, llm_layers=2, heads=2,
+                          projector=TransformerBlockProjector(), max_positions=96, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        Model(cfg).save_checkpoint(ckpt)
+        items = [EvalItem("q0", "color: ", "red", image_id="q-0", candidates=["red", "y" * 40])]
+        demos = [EvalItem(f"d{i}", "color: ", "blue", image_id=f"d-{i}") for i in range(4)]
+        task = tmp_path / "rank.jsonl"
+        save_task(EvalTask("rank", items, demos, metric="candidate-rank"), task)
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                   "-k", "4", "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "max_positions" in capsys.readouterr().err
+
     def test_truncated_checkpoint(self, corpora, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         Model(ModelConfig()).save_checkpoint(ckpt)

@@ -258,9 +258,29 @@ class TestBatchedScoring:
         batched = model.sequence_loss(scored, pixels)
         single = [model.sequence_loss(s, pixels) for s in scored]
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+        # the cached scorer decodes the context once and rewinds its cache
+        # between candidates, so their order cannot change any loss
+        ids = [tok.encode(c) for c in candidates]
+        cached = model.continuation_losses(packed, ids, pixels)
+        np.testing.assert_allclose(cached, single, rtol=1e-12, atol=0)
+        assert np.array_equal(model.continuation_losses(packed, ids[::-1], pixels)[::-1], cached)
         ranked = EvalItem(item.item_id, item.prompt, "red", item.image_id, candidates)
         prediction, _ = score_item(model, packed, pixels, "candidate-rank", ranked, tok)
         assert prediction == candidates[int(np.argmin(single))]
+
+    def test_candidate_past_max_positions_rejected(self, tok):
+        model = Model(toy_cfg())
+        task, pixels = color_task("candidate-rank")
+        item = task.items[0]
+        packed = build_kshot(item, 4, task.demo_pool, 0, tok, model.cfg.slot_length,
+                             model.cfg.max_positions)
+        room = model.cfg.max_positions - len(packed)
+        fits = EvalItem(item.item_id, item.prompt, "x" * room, item.image_id,
+                        ["x" * room, "red"])
+        assert score_item(model, packed, pixels, "candidate-rank", fits, tok)[0] in fits.candidates
+        long = EvalItem(item.item_id, item.prompt, "red", item.image_id, ["red", "y" * (room + 1)])
+        with pytest.raises(ConfigMismatchError, match="max_positions"):
+            score_item(model, packed, pixels, "candidate-rank", long, tok)
 
     def test_exact_match_four_shot_fits_the_context(self, tok):
         model = Model(toy_cfg())

@@ -23,6 +23,7 @@ from vlmforge.packing import (
     ByteTokenizer,
     ImageSlot,
     PackedSample,
+    append_text,
     bind_pixels,
     pack_document,
     pack_sft,
@@ -512,3 +513,59 @@ class TestBatchedPath:
     def test_unknown_dtype_rejected(self, dtype):
         with pytest.raises(ConfigMismatchError, match="dtype"):
             ModelConfig(dtype=dtype)
+
+
+class TestKVCache:
+    """Prefill and extend against the uncached forward they replace."""
+
+    @staticmethod
+    def two_image_sample(tok, cfg):
+        sample = make_sample(tok, cfg, "two images, then the text", image_ids=("doc-1", "doc-2"))
+        return sample, bind_pixels([sample], cfg.resolution)
+
+    @staticmethod
+    def reference_generate(model, prefix, pixels, max_new):
+        """Greedy decoding by a full forward per token."""
+        out = []
+        for _ in range(max_new):
+            logits = model.forward(append_text(prefix, out, loss=False), pixels).logits
+            nxt = int(np.argmax(logits[-1]))
+            if nxt == ByteTokenizer().eos:
+                break
+            out.append(nxt)
+        return out
+
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
+    def test_prefill_then_extend_equals_forward(self, tok, variant):
+        cfg = TestBatchedPath.cfg(variant)
+        model = Model(cfg)
+        sample, pixels = self.two_image_sample(tok, cfg)
+        want = model.forward(sample, pixels).logits
+        text_start = max(slot.start + slot.length for slot in sample.image_slots)
+        for split in (text_start, text_start + 7, len(sample) - 1):
+            head = PackedSample(sample.tokens[:split], sample.modality_mask[:split],
+                                sample.loss_mask[:split], sample.image_slots)
+            kv, last = model.prefill(head, pixels)
+            got = np.vstack([last, model.extend(kv, sample.tokens[split:])])
+            assert kv.length == len(sample)
+            err = np.abs(got - want[split - 1 :]).max()
+            assert err <= 1e-12 * np.abs(want).max(), (split, err)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_generate_equals_reference_loop(self, tok, dtype):
+        cfg = dataclasses.replace(TestBatchedPath.cfg(TransformerBlockProjector(2)), dtype=dtype)
+        model = Model(cfg)
+        prefix, pixels = self.two_image_sample(tok, cfg)
+        max_new = 12
+        want = self.reference_generate(model, prefix, pixels, max_new)
+        assert len(want) == max_new
+        assert model.generate(prefix, pixels, max_new) == want
+        # EOS scores as a token first generated at step `stop`, plus a margin,
+        # so greedy decoding now stops with EOS there or earlier
+        stop = next(i for i in range(4, max_new) if want[i] not in want[:i])
+        eos, w, b = tok.eos, model.params["head.w"], model.params["head.b"]
+        w[:, eos] = w[:, want[stop]]
+        b[eos] = b[want[stop]] + 1e-3
+        want = self.reference_generate(model, prefix, pixels, max_new)
+        assert 0 < len(want) < max_new
+        assert model.generate(prefix, pixels, max_new) == want
