@@ -10,12 +10,12 @@ float32 mode exists for speed. No dropout anywhere, for determinism.
 One batched path serves every caller. A batch's sequences are concatenated
 into one flat (N, D) array, and every position-wise op runs on it: token and
 position embeddings, LayerNorm, the QKV/out and MLP matmuls, GELU, the head
-and the loss. Attention alone runs on a right-padded (B, H, Lmax, Lmax)
-view; padding sits after every real position and the decoder is causal, so
-no key-padding mask is needed. The batch's images, deduplicated by image_id,
-go through `encode_image` and `project` once as one (N_img, T, D) stack.
-`forward(sample)` is the B=1 case, where the flat and padded layouts are one
-reshape apart.
+and the loss. Attention alone keeps sequences apart: it runs once per group
+of equal-length sequences, on a (B_g, H, L, L) view of the group's gathered
+rows, so no score is padding. A batch of one length (one sequence, an image
+stack) is a single group, a plain reshape of the flat rows. The batch's
+images, deduplicated by image_id, go through `encode_image` and `project`
+once as one (N_img, T, D) stack.
 
 Backward walks the same layout and does only the work the trainable groups
 need: frozen groups get no gradient buffers, no weight-gradient matmuls and
@@ -32,8 +32,11 @@ P.. and attend over [:P+n]. Setting the length back rewinds the cache to a
 shorter prefix without copying anything. `forward` and `sequence_loss`
 re-run the whole sequence and are the uncached reference for both.
 
-Parameters live in a flat name -> array store; the name's first component
-(vision / projector / embed / llm / head) is the freezing unit.
+Parameters live in one contiguous buffer per group: the name's first
+component (vision / projector / embed / llm / head) is the group, the
+freezing unit. `Model.buffers[group]` holds the group's parameters back to
+back, names sorted; `Model.params` maps each name to its array, a view into
+that buffer, so an optimizer can update a whole group as one array.
 """
 
 from __future__ import annotations
@@ -208,40 +211,39 @@ class ForwardTrace:
 
 
 class _Layout:
-    """B sequences stored back to back as flat rows, plus a right-padded view.
+    """B sequences stored back to back as flat (N, F) rows, grouped by length.
 
-    Position-wise ops run on the flat (N, F) rows; attention runs on the
-    (B, Lmax, F) view. When every sequence has the same length the two are
-    one reshape apart and `rows` is None.
+    Position-wise ops run on the flat rows. Attention runs once per group of
+    equal-length sequences: `groups` holds (L, B_g, rows), where `rows`
+    gathers the group's flat rows in order, so `a[rows]` reshapes to its
+    (B_g, L, F) view. `rows` is None when the group is the whole batch and
+    the view is a plain reshape, as for any batch of one length.
     """
 
     def __init__(self, lengths):
-        self.B = len(lengths)
-        self.Lmax = max(lengths)
-        self.rows = None  # flat row -> row of the padded (B * Lmax) view
-        if min(lengths) != self.Lmax:
-            starts = np.arange(self.B) * self.Lmax
-            self.rows = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
-
-    def pad(self, a):
-        """(N, F) flat rows -> (B, Lmax, F), zero past each sequence's end."""
-        if self.rows is None:
-            return a.reshape(self.B, self.Lmax, -1)
-        out = np.zeros((self.B * self.Lmax, a.shape[-1]), dtype=a.dtype)
-        out[self.rows] = a
-        return out.reshape(self.B, self.Lmax, -1)
-
-    def unpad(self, a):
-        """(B, Lmax, ...) -> (N, F) flat rows."""
-        flat = a.reshape(self.B * self.Lmax, -1)
-        return flat if self.rows is None else flat[self.rows]
+        lengths = np.asarray(lengths)
+        self.N = int(lengths.sum())
+        if (lengths == lengths[0]).all():
+            self.groups = [(int(lengths[0]), len(lengths), None)]
+            return
+        starts = np.cumsum(lengths) - lengths
+        self.groups = []
+        for L in np.unique(lengths):
+            first = starts[lengths == L]
+            self.groups.append((int(L), len(first), (first[:, None] + np.arange(L)).ravel()))
 
     def add_positions(self, x, table, offset=0):
         """x += table[offset + position of each row], in place."""
-        if self.rows is None:
-            x.reshape(self.B, self.Lmax, -1)[...] += table[offset : offset + self.Lmax]
-        else:
-            x += table[offset + self.rows % self.Lmax]
+        for L, B, rows in self.groups:
+            if rows is None:
+                x.reshape(B, L, -1)[...] += table[offset : offset + L]
+            else:
+                x[rows] += np.tile(table[offset : offset + L], (B, 1))
+
+    def sum_positions(self, dx, out):
+        """out[position] += the sum of dx over every row at that position."""
+        for L, B, rows in self.groups:
+            out[:L] += (dx if rows is None else dx[rows]).reshape(B, L, -1).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +251,16 @@ class _Layout:
 # skips its weight gradients when handed no gradient dict)
 
 
+def _mean_last(a):
+    """a.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's
+    Python overhead, which dominates on the (1, D) rows of a decode step."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def _ln_fwd(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
@@ -266,8 +274,8 @@ def _ln_bwd(dout, cache, grads, prefix):
     dxhat = dout * g
     return inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - _mean_last(dxhat)
+        - xhat * _mean_last(dxhat * xhat)
     )
 
 
@@ -320,54 +328,66 @@ def _qkv_weights(p, prefix):
 def _attn_fwd(x, p, prefix, heads, causal, layout=None, past=None):
     """Multi-head attention over the flat rows of `layout` (default: one sequence).
 
-    Bidirectional attention takes equal-length sequences only, since it
-    would attend to padding. `past` is (key buffer, value buffer, P) of one
-    sequence whose first P positions are cached: the rows, positions P..,
-    write their keys and values there and attend over [:P + rows].
+    Each sequence attends within itself only. `past` is (key buffer, value
+    buffer, P) of one sequence whose first P positions are cached: the rows,
+    positions P.., write their keys and values there and attend over
+    [:P + rows].
     """
     N, D = x.shape
     layout = layout or _Layout([N])
-    B, L, dh = layout.B, layout.Lmax, D // heads
+    dh = D // heads
     w, b = _qkv_weights(p, prefix)
-    qkv = layout.pad(x @ w + b).reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    qh, kh, vh = qkv  # (B, heads, L, dh) each
-    P, M = 0, L  # cached positions, and a causal mask size covering P + L
-    if past is not None:
-        kbuf, vbuf, P = past
-        kbuf[:, P : P + L] = kh[0]
-        vbuf[:, P : P + L] = vh[0]
-        kh, vh, M = kbuf[None, :, : P + L], vbuf[None, :, : P + L], kbuf.shape[1]
-    attn = qh @ kh.transpose(0, 1, 3, 2)
-    attn /= math.sqrt(dh)
-    if causal:
-        attn += _causal_bias(M, attn.dtype)[P : P + L, : P + L]
-    _softmax_(attn)
-    o = layout.unpad((attn @ vh).transpose(0, 2, 1, 3))
+    qkv = x @ w + b
+    o = None if len(layout.groups) == 1 else np.empty_like(x)
+    kept = []  # per group: (qh, kh, vh, attn)
+    for L, B, rows in layout.groups:
+        part = qkv if rows is None else qkv[rows]
+        qh, kh, vh = part.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+        P, M = 0, L  # cached positions, and a causal mask size covering P + L
+        if past is not None:
+            kbuf, vbuf, P = past
+            kbuf[:, P : P + L] = kh[0]
+            vbuf[:, P : P + L] = vh[0]
+            kh, vh, M = kbuf[None, :, : P + L], vbuf[None, :, : P + L], kbuf.shape[1]
+        attn = qh @ kh.transpose(0, 1, 3, 2)
+        attn /= math.sqrt(dh)
+        if causal:
+            attn += _causal_bias(M, attn.dtype)[P : P + L, : P + L]
+        _softmax_(attn)
+        heads_out = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * L, D)
+        if rows is None:
+            o = heads_out
+        else:
+            o[rows] = heads_out
+        kept.append((qh, kh, vh, attn))
     out = o @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
-    return out, (x, qh, kh, vh, attn, o, layout)
+    return out, (x, kept, o, layout)
 
 
 def _attn_bwd(dout, cache, p, g, prefix, heads):
-    x, qh, kh, vh, attn, o, layout = cache
-    D = x.shape[1]
-    B, L, dh = layout.B, layout.Lmax, D // heads
+    x, kept, o, layout = cache
+    N, D = x.shape
+    dh = D // heads
     do = _linear_bwd(dout, o, p[f"{prefix}.wo"], g, f"{prefix}.wo", f"{prefix}.bo")
-    doh = layout.pad(do).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
-    dqkv = np.empty((B, L, 3, heads, dh), dtype=x.dtype)
-    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)  # views in (B, heads, L, dh) order
-    dv[...] = attn.transpose(0, 1, 3, 2) @ doh
-    dscores = doh @ vh.transpose(0, 1, 3, 2)
-    # attention backward is the memory peak of a training pass, so padded
-    # temporaries are dropped as soon as they are used
-    del doh
-    # softmax backward, in place; masked entries have attn == 0 hence zero
-    dscores -= np.einsum("bhij,bhij->bhi", dscores, attn)[..., None]
-    dscores *= attn
-    dscores /= math.sqrt(dh)
-    dq[...] = dscores @ kh
-    dk[...] = dscores.transpose(0, 1, 3, 2) @ qh
-    del dscores
-    dqkv = layout.unpad(dqkv)  # (N, 3D), columns in wq | wk | wv order
+    dqkv = np.empty((N, 3 * D), dtype=x.dtype)  # columns in wq | wk | wv order
+    for (L, B, rows), (qh, kh, vh, attn) in zip(layout.groups, kept):
+        doh = (do if rows is None else do[rows]).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+        part = dqkv if rows is None else np.empty((B * L, 3 * D), dtype=x.dtype)
+        dq, dk, dv = part.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+        dv[...] = attn.transpose(0, 1, 3, 2) @ doh
+        dscores = doh @ vh.transpose(0, 1, 3, 2)
+        # attention backward is the memory peak of a training pass, so the
+        # (B, heads, L, L) temporaries are dropped as soon as they are used
+        del doh
+        # softmax backward, in place; masked entries have attn == 0 hence zero
+        dscores -= np.einsum("bhij,bhij->bhi", dscores, attn)[..., None]
+        dscores *= attn
+        dscores /= math.sqrt(dh)
+        dq[...] = dscores @ kh
+        dk[...] = dscores.transpose(0, 1, 3, 2) @ qh
+        del dscores
+        if rows is not None:
+            dqkv[rows] = part
     w, _ = _qkv_weights(p, prefix)
     if g is not None:
         gw = x.T @ dqkv
@@ -457,8 +477,23 @@ class Model:
     """Parameter store plus a batched forward/backward over packed samples."""
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray] | None = None):
+        """`params` (default: the seeded init) is copied into one contiguous
+        buffer per group, at the config's dtype; `params` then holds views."""
         self.cfg = cfg
-        self.params = params if params is not None else self._init_params()
+        params = params if params is not None else self._init_params()
+        self.buffers: dict[str, np.ndarray] = {}
+        self.params: dict[str, np.ndarray] = {}
+        for group in sorted({self.group_of(n) for n in params}):
+            names = sorted(n for n in params if self.group_of(n) == group)
+            buf = np.empty(sum(np.size(params[n]) for n in names), dtype=cfg.np_dtype)
+            offset = 0
+            for name in names:
+                arr = params[name]
+                view = buf[offset : offset + np.size(arr)].reshape(np.shape(arr))
+                view[...] = arr
+                self.params[name] = view
+                offset += view.size
+            self.buffers[group] = buf
 
     # -- parameter construction
 
@@ -523,7 +558,7 @@ class Model:
                 arr = rng.normal(0.0, 0.02, size=shape)
             else:
                 arr = rng.normal(0.0, scale, size=shape)
-            params[name] = arr.astype(cfg.np_dtype)
+            params[name] = arr
         return params
 
     @staticmethod
@@ -709,7 +744,7 @@ class Model:
             x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout, past)
             kept.append(cache if train else x)
         if kv is not None:
-            kv.length += layout.Lmax
+            kv.length += layout.N
         normed, final_ln = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
         return normed, final_ln, kept
 
@@ -717,10 +752,10 @@ class Model:
                 pixels: dict[str, np.ndarray] | None = None):
         """Run merged sequences through the decoder, capturing hidden states.
 
-        One sample gives one ForwardTrace (the batched pass at B=1, with no
-        padding). A list runs as one batch, its images encoded once, and
-        gives one trace per sample. Every position is recomputed: this is
-        the uncached reference for `prefill` and `extend`.
+        One sample gives one ForwardTrace (the batched pass at B=1). A list
+        runs as one batch, its images encoded once, and gives one trace per
+        sample. Every position is recomputed: this is the uncached reference
+        for `prefill` and `extend`.
         """
         p = self.params
         samples = [sample] if isinstance(sample, PackedSample) else list(sample)
@@ -812,8 +847,7 @@ class Model:
         for i in reversed(range(cfg.llm_layers)):
             dx = _block_bwd(dx, fw.blocks.pop(), p, owned("llm"), f"llm.block{i}", cfg.heads)
         if need_embed:
-            layout = fw.layout
-            grads["embed.pos"][: layout.Lmax] += layout.pad(dx).sum(axis=0)
+            fw.layout.sum_positions(dx, grads["embed.pos"])
             np.add.at(grads["embed.tok"], fw.tokens[fw.text], dx[fw.text])
         if need_images:
             dst, src, n_rows, enc_cache, proj_cache = fw.images

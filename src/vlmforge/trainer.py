@@ -129,43 +129,82 @@ CLIP_NORM = 1.0  # bound on the global gradient norm
 
 class AdamW:
     """Decoupled-weight-decay Adam over the trainable groups only; each step
-    takes its learning rate from the schedule, so `lr` is not read."""
+    takes its learning rate from the schedule, so `lr` is not read.
+
+    A step updates each trainable group as one array: the model's group
+    buffer and the moments, kept as one buffer per group too (`m_buffers`,
+    `v_buffers`; `m[name]`/`v[name]` are views into them). Every trainable
+    parameter must therefore be the model's view into its group buffer;
+    construction refuses one that was replaced, since its updates would miss
+    the array the model reads.
+    """
 
     def __init__(self, model: Model, policy: FreezePolicy, lr: float):
         self.model = model
         self.t = 0
+        self.groups: dict[str, list[str]] = {}  # trainable group -> names, buffer order
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        for name, arr in model.params.items():
-            if Model.group_of(name) in policy.trainable:
-                self.m[name] = np.zeros_like(arr)
-                self.v[name] = np.zeros_like(arr)
+        self.m_buffers: dict[str, np.ndarray] = {}
+        self.v_buffers: dict[str, np.ndarray] = {}
+        for group, buf in model.buffers.items():
+            if group not in policy.trainable:
+                continue
+            names = [n for n in model.params if Model.group_of(n) == group]
+            self.m_buffers[group] = np.zeros_like(buf)
+            self.v_buffers[group] = np.zeros_like(buf)
+            offset = 0
+            for name in names:
+                arr = model.params[name]
+                if arr.base is not buf or arr.ctypes.data != buf[offset:].ctypes.data:
+                    raise VlmforgeError(
+                        f"parameter {name!r} is not a view of the model's {group} buffer")
+                stop = offset + arr.size
+                self.m[name] = self.m_buffers[group][offset:stop].reshape(arr.shape)
+                self.v[name] = self.v_buffers[group][offset:stop].reshape(arr.shape)
+                offset = stop
+            self.groups[group] = names
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         """Update parameters and moments in place, `grads` read only, in the
-        operation order of p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p)."""
+        operation order of p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p).
+
+        The clip norm sums each gradient's squares separately, in name
+        order, so a group-wise step is bit-identical to a per-array one."""
+        flat = {group: np.concatenate([grads[n] for n in names], axis=None)
+                for group, names in self.groups.items()}
         sq = 0.0
-        for name in self.m:
-            g = grads[name]
-            sq += float((g * g).sum())
+        for group, names in self.groups.items():
+            squares, offset = flat[group] * flat[group], 0
+            for name in names:
+                stop = offset + grads[name].size
+                sq += float(squares[offset:stop].sum())
+                offset = stop
         norm = math.sqrt(sq)
         scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         b1, b2 = ADAM_BETAS
         self.t += 1
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name, m in self.m.items():
-            v, p = self.v[name], self.model.params[name]
-            g = grads[name] * scale if scale != 1.0 else grads[name]
+        # two scratch arrays per group: the gathered gradient, which becomes
+        # the update, and `tmp`, which becomes the denominator and then wd * p
+        for group, g in flat.items():
+            m, v, p = self.m_buffers[group], self.v_buffers[group], self.model.buffers[group]
+            if scale != 1.0:
+                g *= scale
+            tmp = (1 - b1) * g
             m *= b1
-            m += (1 - b1) * g
+            m += tmp
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g  # (1 - b2) * g * g
             v *= b2
-            v += (1 - b2) * g * g
-            denom = np.sqrt(v / bc2)
+            v += tmp
+            denom = np.divide(v, bc2, out=tmp)
+            np.sqrt(denom, out=denom)
             denom += ADAM_EPS
-            update = m / bc1
+            update = np.divide(m, bc1, out=g)
             update /= denom
-            update += WEIGHT_DECAY * p
+            update += np.multiply(p, WEIGHT_DECAY, out=denom)
             update *= lr
             p -= update
 

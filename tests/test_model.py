@@ -15,6 +15,8 @@ from vlmforge.model import (
     _attn_fwd,
     _block_fwd,
     _gelu_fwd,
+    _Layout,
+    _ln_bwd,
     _ln_fwd,
 )
 from vlmforge.packing import (
@@ -403,6 +405,58 @@ class TestConfigJson:
             ModelConfig.from_json(obj)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(1, 32), (300, 32), (528, 16)])
+def test_layer_norm_equals_ndarray_mean_reference(dtype, shape):
+    rng = np.random.default_rng(3)
+    x, dout = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    g, b = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+    eps = 1e-5
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = dout * g
+    want_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    out, cache = _ln_fwd(x, g, b, eps)
+    assert out.dtype == dtype
+    assert np.array_equal(out, xhat * g + b)
+    assert np.array_equal(_ln_bwd(dout, cache, None, "ln"), want_dx)
+
+
+class TestParameterBuffers:
+    def test_params_are_views_into_sorted_group_buffers(self):
+        model = Model(ModelConfig(seed=2))
+        assert list(model.buffers) == sorted(model.buffers) == model.group_names()
+        for group, buf in model.buffers.items():
+            names = [n for n in model.params if model.group_of(n) == group]
+            assert names == sorted(names)
+            assert buf.ndim == 1 and buf.flags.c_contiguous
+            assert buf.size == model.param_count(group)
+            for name in names:
+                assert np.shares_memory(model.params[name], buf), name
+            assert np.array_equal(np.concatenate([model.params[n] for n in names], axis=None),
+                                  buf)
+
+    def test_given_params_are_copied(self):
+        params = Model(ModelConfig(seed=2)).params
+        given = {n: a.copy() for n, a in reversed(params.items())}
+        model = Model(ModelConfig(seed=2), given)
+        for name, arr in given.items():
+            assert not np.shares_memory(model.params[name], arr), name
+            assert np.array_equal(model.params[name], params[name]), name
+        given["head.w"][:] = 0.0
+        assert np.array_equal(model.params["head.w"], params["head.w"])
+
+    def test_loaded_checkpoint_params_are_buffer_views(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        Model(ModelConfig(seed=9, dtype="float32")).save_checkpoint(path)
+        loaded = Model.load_checkpoint(path)
+        for name, arr in loaded.params.items():
+            assert arr.dtype == np.float32
+            assert np.shares_memory(arr, loaded.buffers[loaded.group_of(name)]), name
+
+
 def test_init_is_seed_deterministic():
     a = Model(ModelConfig(seed=4)).params
     b = Model(ModelConfig(seed=4)).params
@@ -438,13 +492,8 @@ class TestBatchedPath:
         ]
         return batch, bind_pixels(batch, cfg.resolution)
 
-    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
-    def test_batch_equals_weighted_single_sample_calls(self, tok, variant):
-        cfg = self.cfg(variant)
-        model = Model(cfg)
-        batch, pixels = self.mixed_batch(tok, cfg)
-        if cfg.slot_length == 4:
-            assert [len(s) for s in batch[:2]] == [28, 28]
+    @staticmethod
+    def assert_equals_weighted_single_sample_calls(model, batch, pixels):
         loss, grads = model.loss_and_grads(batch, pixels)
         weights = [model.shifted_targets(s)[1].sum() for s in batch]
         want_loss = 0.0
@@ -460,6 +509,14 @@ class TestBatchedPath:
         floor = 1e-10 * max(np.abs(g).max() for g in want.values())
         for name, g in want.items():
             assert np.abs(grads[name] - g).max() <= max(1e-10 * np.abs(g).max(), floor), name
+
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
+    def test_batch_equals_weighted_single_sample_calls(self, tok, variant):
+        cfg = self.cfg(variant)
+        batch, pixels = self.mixed_batch(tok, cfg)
+        if cfg.slot_length == 4:
+            assert [len(s) for s in batch[:2]] == [28, 28]
+        self.assert_equals_weighted_single_sample_calls(Model(cfg), batch, pixels)
 
     @pytest.mark.parametrize("policy", ["PROJECTOR_ONLY", "ALL_TRAINABLE"])
     def test_trainable_groups_only_and_bitwise_equal(self, tok, policy):
@@ -513,6 +570,61 @@ class TestBatchedPath:
     def test_unknown_dtype_rejected(self, dtype):
         with pytest.raises(ConfigMismatchError, match="dtype"):
             ModelConfig(dtype=dtype)
+
+
+class TestGroupedAttention:
+    """Mixed-length batches attend within equal-length groups, with no padding."""
+
+    LENGTHS = (28, 66, 28, 40, 66, 40)
+
+    @classmethod
+    def interleaved_batch(cls, tok, cfg):
+        # one image per 28- or 40-position sample, two per 66-position one
+        batch = []
+        for i, length in enumerate(cls.LENGTHS):
+            images = tuple(f"img-{i}-{j}" for j in range(1 + (length == 66)))
+            text = "x" * (length - 2 - cfg.slot_length * len(images))
+            batch.append(make_sample(tok, cfg, text, image_ids=images))
+        assert tuple(len(s) for s in batch) == cls.LENGTHS
+        return batch, bind_pixels(batch, cfg.resolution)
+
+    def test_layout_groups_by_length(self):
+        layout = _Layout(self.LENGTHS)
+        assert layout.N == sum(self.LENGTHS)
+        starts = np.cumsum(self.LENGTHS) - self.LENGTHS
+        for L, B, rows in layout.groups:
+            members = [s for s, n in zip(starts, self.LENGTHS) if n == L]
+            assert B == len(members)
+            assert np.array_equal(rows, np.concatenate([np.arange(s, s + L) for s in members]))
+        assert [L for L, _, _ in layout.groups] == [28, 40, 66]
+        assert _Layout([5, 5, 5]).groups == [(5, 3, None)]
+
+    def test_forward_equals_single_sample_calls(self, tok):
+        cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
+        model = Model(cfg)
+        batch, pixels = self.interleaved_batch(tok, cfg)
+        traces = model.forward(batch, pixels)
+        for sample, trace in zip(batch, traces):
+            want = model.forward(sample, pixels).logits
+            assert np.abs(trace.logits - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
+    def test_loss_and_grads_equal_weighted_single_sample_calls(self, tok, variant):
+        cfg = TestBatchedPath.cfg(variant)
+        batch, pixels = self.interleaved_batch(tok, cfg)
+        TestBatchedPath.assert_equals_weighted_single_sample_calls(Model(cfg), batch, pixels)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_over_mixed_lengths_equals_per_sequence_calls(self, causal):
+        cfg = TestBatchedPath.cfg(Linear())
+        p = Model(cfg).params
+        x = np.random.default_rng(5).normal(size=(sum(self.LENGTHS), cfg.model_dim))
+        got, _ = _attn_fwd(x, p, "llm.block0.attn", cfg.heads, causal, _Layout(self.LENGTHS))
+        start = 0
+        for n in self.LENGTHS:
+            want, _ = _attn_fwd(x[start : start + n], p, "llm.block0.attn", cfg.heads, causal)
+            np.testing.assert_allclose(got[start : start + n], want, rtol=1e-12, atol=1e-14)
+            start += n
 
 
 class TestKVCache:

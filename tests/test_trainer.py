@@ -139,6 +139,23 @@ class TestAdamW:
         assert clipped == [False, True, False, True]
 
 
+    def test_moments_are_views_into_group_buffers(self):
+        model = Model(small_cfg())
+        opt = AdamW(model, ALL_TRAINABLE, 1e-3)
+        for name in opt.m:
+            assert opt.m[name].shape == model.params[name].shape
+            assert np.shares_memory(opt.m[name], opt.m_buffers[Model.group_of(name)]), name
+            assert np.shares_memory(opt.v[name], opt.v_buffers[Model.group_of(name)]), name
+
+    def test_replaced_trainable_parameter_rejected(self):
+        model = Model(small_cfg())
+        model.params["head.w"] = model.params["head.w"].copy()
+        with pytest.raises(VlmforgeError, match="head.w"):
+            AdamW(model, ALL_TRAINABLE, 1e-3)
+        # a frozen group's arrays are never updated, so they may be replaced
+        AdamW(model, PROJECTOR_ONLY, 1e-3)
+
+
 class TestRunStage:
     def test_overfit_sanity(self, tok):
         cfg = small_cfg()
