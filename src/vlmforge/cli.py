@@ -194,9 +194,12 @@ def _plan_from_json(path) -> trainer.StagePlan:
 
 
 def _parse_steps(text: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in text.split(",")]
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
-        raise VlmforgeError("--steps expects three comma-separated counts")
+        raise VlmforgeError(f"--steps expects three comma-separated integers, not {text!r}")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -304,10 +307,9 @@ def cmd_diag_align(args) -> int:
         if len(samples) >= args.max_samples:
             break
     pixels = packing.bind_pixels(samples, model.cfg.resolution)
-    profile = diagnostics.alignment_profile(model, samples, pixels,
-                                            variant=args.variant)
+    profile = diagnostics.alignment_profile(model, samples, pixels)
     Path(args.out).write_text(profile.to_csv())
-    manifest.write_manifest(args.out, "diag align", {"variant": args.variant},
+    manifest.write_manifest(args.out, "diag align", {},
                             args.seed, [args.ckpt, args.shard], [args.out])
     print(f"wrote {len(profile.per_layer)}-layer profile to {args.out}")
     return 0
@@ -417,7 +419,6 @@ def build_parser() -> Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--shard", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=sorted(diagnostics.VARIANTS), default="symmetric")
     p.add_argument("--max-samples", type=int, default=32)
     _add_seed(p)
     p.set_defaults(func=cmd_diag_align)

@@ -17,14 +17,10 @@ import numpy as np
 from .errors import VlmforgeError
 from .packing import IMAGE, TEXT, PackedSample
 
-VARIANTS = ("symmetric", "a-to-b", "b-to-a")
-
-
 @dataclass
 class AlignmentProfile:
     per_layer: list[float]  # one value per captured layer (embedding + blocks)
     sample_count: int
-    variant: str = "symmetric"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -46,23 +42,14 @@ def _unit_rows(vectors: np.ndarray, label: str) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def chamfer_cosine(A, B, variant: str = "symmetric") -> float:
-    """Chamfer aggregation of pairwise cosine similarity between two sets.
-
-    symmetric: mean over A of best match in B, averaged with the reverse
-    direction. The one-sided variants keep only one direction.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+def chamfer_cosine(A, B) -> float:
+    """Symmetric Chamfer aggregation of pairwise cosine similarity between two
+    sets: the mean over A of its best match in B, averaged with the reverse."""
     ua = _unit_rows(A, "A")
     ub = _unit_rows(B, "B")
     sims = ua @ ub.T
     a_to_b = float(sims.max(axis=1).mean())
     b_to_a = float(sims.max(axis=0).mean())
-    if variant == "a-to-b":
-        return a_to_b
-    if variant == "b-to-a":
-        return b_to_a
     return 0.5 * (a_to_b + b_to_a)
 
 
@@ -70,7 +57,6 @@ def alignment_profile(
     model,
     samples: list[PackedSample],
     pixels: dict[str, np.ndarray],
-    variant: str = "symmetric",
 ) -> AlignmentProfile:
     """Per-layer cross-modal Chamfer cosine, averaged over the batch.
 
@@ -89,10 +75,9 @@ def alignment_profile(
         raise VlmforgeError("alignment_profile: no sample carries both modalities")
     sums = 0.0
     for (visual, textual), trace in zip(masks, model.forward(used, pixels)):
-        sums += np.array([chamfer_cosine(layer[visual], layer[textual], variant)
+        sums += np.array([chamfer_cosine(layer[visual], layer[textual])
                           for layer in trace.hidden])
     return AlignmentProfile(
         per_layer=[float(v / len(used)) for v in sums],
         sample_count=len(used),
-        variant=variant,
     )

@@ -100,8 +100,8 @@ def build_kshot(
     [image slot, prompt]. k=0 yields the bare query. Demo selection is
     uniform without replacement, seeded per item.
     """
-    if k > len(demo_pool):
-        raise VlmforgeError(f"k={k} exceeds demo pool size {len(demo_pool)}")
+    if not 0 <= k <= len(demo_pool):
+        raise VlmforgeError(f"k={k} is not between 0 and the demo pool size {len(demo_pool)}")
     rng = substream(seed, f"eval/{item.item_id}")
     chosen = [demo_pool[i] for i in rng.choice(len(demo_pool), size=k, replace=False)]
     blocks = [(d.image_id, d.prompt + d.answer) for d in chosen]

@@ -34,18 +34,22 @@ re-run the whole sequence and are the uncached reference for both.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
-freezing unit. `Model.buffers[group]` holds the group's parameters back to
-back, names sorted; `Model.params` maps each name to its array, a view into
-that buffer, so an optimizer can update a whole group as one array.
+freezing unit. The config fixes every name and shape, and `Model.views`
+lays a group's parameters back to back in `Model.buffers[group]`, names
+sorted; `Model.params` holds those views, so an optimizer can update a whole
+group as one array. A v2 checkpoint is the config JSON and those buffers at
+the config's dtype: exact, with no per-parameter records.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import logging
 import math
+import os
 import struct
 import types
 import typing
@@ -61,7 +65,7 @@ from .packing import TEXT, ByteTokenizer, PackedSample, tokens_per_image
 logger = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"VLMCKPT\x00"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 PARAM_GROUPS = ("vision", "projector", "embed", "llm", "head")
 DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -477,37 +481,36 @@ class Model:
     """Parameter store plus a batched forward/backward over packed samples."""
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray] | None = None):
-        """`params` (default: the seeded init) is copied into one contiguous
-        buffer per group, at the config's dtype; `params` then holds views."""
+        """`params` (default: the seeded init), exactly the config's names and
+        shapes, is copied into the group buffers; `params` then holds views."""
         self.cfg = cfg
-        params = params if params is not None else self._init_params()
-        self.buffers: dict[str, np.ndarray] = {}
-        self.params: dict[str, np.ndarray] = {}
-        for group in sorted({self.group_of(n) for n in params}):
-            names = sorted(n for n in params if self.group_of(n) == group)
-            buf = np.empty(sum(np.size(params[n]) for n in names), dtype=cfg.np_dtype)
-            offset = 0
-            for name in names:
-                arr = params[name]
-                view = buf[offset : offset + np.size(arr)].reshape(np.shape(arr))
-                view[...] = arr
-                self.params[name] = view
-                offset += view.size
-            self.buffers[group] = buf
+        self.buffers = {group: np.empty(size, dtype=cfg.np_dtype)
+                        for group, size in self._group_sizes(cfg).items()}
+        self.params = self.views(cfg, self.buffers)
+        if params is None:
+            self._init_params()
+            return
+        wrong = sorted(params.keys() ^ self.params.keys()) or [
+            n for n, view in self.params.items() if np.shape(params[n]) != view.shape]
+        if wrong:
+            raise ConfigMismatchError(f"parameters {wrong} do not match the config's names and shapes")
+        for name, view in self.params.items():
+            view[...] = params[name]
 
-    # -- parameter construction
+    # -- parameter layout
 
-    def _param_shapes(self) -> dict[str, tuple]:
-        cfg = self.cfg
+    @staticmethod
+    def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+        """Every parameter's shape under `cfg`, names sorted."""
         shapes: dict[str, tuple] = {}
         patch_in = cfg.patch * cfg.patch * 3
         shapes["vision.patch.w"] = (patch_in, cfg.vision_dim)
         shapes["vision.patch.b"] = (cfg.vision_dim,)
         shapes["vision.pos"] = (cfg.encoder_tokens, cfg.vision_dim)
         for i in range(cfg.vision_layers):
-            shapes.update(self._block_shapes(f"vision.block{i}", cfg.vision_dim, cfg.ffn_dim))
+            shapes.update(Model._block_shapes(f"vision.block{i}", cfg.vision_dim, cfg.ffn_dim))
         if isinstance(cfg.projector, TransformerBlockProjector):
-            shapes.update(self._block_shapes("projector.block", cfg.vision_dim, cfg.ffn_dim))
+            shapes.update(Model._block_shapes("projector.block", cfg.vision_dim, cfg.ffn_dim))
             shapes["projector.out.w"] = (cfg.vision_dim, cfg.model_dim)
             shapes["projector.out.b"] = (cfg.model_dim,)
         else:
@@ -516,12 +519,12 @@ class Model:
         shapes["embed.tok"] = (cfg.vocab_size, cfg.model_dim)
         shapes["embed.pos"] = (cfg.max_positions, cfg.model_dim)
         for i in range(cfg.llm_layers):
-            shapes.update(self._block_shapes(f"llm.block{i}", cfg.model_dim, cfg.ffn_dim))
+            shapes.update(Model._block_shapes(f"llm.block{i}", cfg.model_dim, cfg.ffn_dim))
         shapes["llm.final_ln.g"] = (cfg.model_dim,)
         shapes["llm.final_ln.b"] = (cfg.model_dim,)
         shapes["head.w"] = (cfg.model_dim, cfg.vocab_size)
         shapes["head.b"] = (cfg.vocab_size,)
-        return shapes
+        return dict(sorted(shapes.items()))
 
     @staticmethod
     def _block_shapes(prefix, dim, ffn):
@@ -541,39 +544,51 @@ class Model:
             shapes[f"{prefix}.attn.{bias}"] = (dim,)
         return shapes
 
-    def _init_params(self) -> dict[str, np.ndarray]:
+    @staticmethod
+    def _group_sizes(cfg: ModelConfig) -> dict[str, int]:
+        """Each group's element count, groups sorted."""
+        by_group = itertools.groupby(Model.param_shapes(cfg).items(), lambda i: Model.group_of(i[0]))
+        return {group: sum(math.prod(shape) for _, shape in items) for group, items in by_group}
+
+    @staticmethod
+    def views(cfg: ModelConfig, buffers: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Each parameter of the groups in `buffers` (group -> flat buffer) ->
+        its slot there: a group's parameters lie back to back, names sorted.
+        The one place that computes a parameter's offset."""
+        views, offsets = {}, dict.fromkeys(buffers, 0)
+        for name, shape in Model.param_shapes(cfg).items():
+            if (group := Model.group_of(name)) in buffers:
+                start, offsets[group] = offsets[group], offsets[group] + math.prod(shape)
+                views[name] = buffers[group][start : offsets[group]].reshape(shape)
+        return views
+
+    def _init_params(self) -> None:
+        """The seeded init, drawn in name order straight into the buffers."""
         cfg = self.cfg
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x6D6F64656C]))
         depth = max(1, cfg.vision_layers + cfg.llm_layers)
         scale = 0.02 / np.sqrt(depth)
-        params: dict[str, np.ndarray] = {}
-        for name, shape in sorted(self._param_shapes().items()):
+        for name, view in self.params.items():
             if name.endswith(("ln1.g", "ln2.g", "final_ln.g")):
-                arr = np.ones(shape)
+                view[...] = 1.0
             elif name.endswith(".b") or name.endswith(
                 ("bq", "bk", "bv", "bo", "b1", "b2")
             ):
-                arr = np.zeros(shape)
+                view[...] = 0.0
             elif name in ("embed.tok", "embed.pos", "vision.pos"):
-                arr = rng.normal(0.0, 0.02, size=shape)
+                view[...] = rng.normal(0.0, 0.02, size=view.shape)
             else:
-                arr = rng.normal(0.0, scale, size=shape)
-            params[name] = arr
-        return params
+                view[...] = rng.normal(0.0, scale, size=view.shape)
 
     @staticmethod
     def group_of(name: str) -> str:
         return name.split(".", 1)[0]
 
     def group_names(self) -> list[str]:
-        return sorted({self.group_of(n) for n in self.params})
+        return list(self.buffers)
 
     def param_count(self, group: str | None = None) -> int:
-        return sum(
-            arr.size
-            for name, arr in self.params.items()
-            if group is None or self.group_of(name) == group
-        )
+        return sum(buf.size for g, buf in self.buffers.items() if group in (None, g))
 
     # -- vision path
 
@@ -954,58 +969,49 @@ class Model:
     # -- checkpoints
 
     def group_checksum(self, group: str) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for name in sorted(self.params):
-            if self.group_of(name) == group:
-                h.update(self.params[name].tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.buffers[group].tobytes()).hexdigest()
 
     def save_checkpoint(self, path) -> None:
-        """Little-endian float32 checkpoint with the config embedded; atomic."""
+        """Atomic v2 checkpoint: magic, version and config length, config
+        JSON, then the group buffers at the config's dtype, little-endian."""
         cfg_json = json.dumps(self.cfg.to_json(), sort_keys=True).encode()
+        dtype = np.dtype(self.cfg.np_dtype).newbyteorder("<")
         with atomic_open(path, "wb") as fh:
             fh.write(CKPT_MAGIC)
             fh.write(struct.pack("<II", CKPT_VERSION, len(cfg_json)))
             fh.write(cfg_json)
-            fh.write(struct.pack("<I", len(self.params)))
-            for name in sorted(self.params):
-                arr = self.params[name]
-                raw = name.encode()
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f4").tobytes())
+            for buf in self.buffers.values():
+                fh.write(buf.astype(dtype, copy=False).tobytes())
 
     @staticmethod
     def load_checkpoint(path, expect_cfg: ModelConfig | None = None) -> "Model":
-        """Read a checkpoint; a short read anywhere raises VlmforgeError."""
+        """Read a v2 checkpoint back exactly. The config is decoded first, and
+        the rest of the file must be the very bytes its buffers take; any bad
+        or short header, bad config, or short or long file raises
+        VlmforgeError naming the file before a buffer is allocated."""
         with open(path, "rb") as fh:
-
-            def read(n: int) -> bytes:
-                data = fh.read(n)
-                if len(data) != n:
-                    raise VlmforgeError(f"{path}: truncated checkpoint")
-                return data
-
+            size = os.fstat(fh.fileno()).st_size
             if fh.read(8) != CKPT_MAGIC:
                 raise VlmforgeError(f"{path}: not a VLMCKPT file")
-            version, cfg_len = struct.unpack("<II", read(8))
+            if size < 16:
+                raise VlmforgeError(f"{path}: truncated checkpoint")
+            version, cfg_len = struct.unpack("<II", fh.read(8))
             if version != CKPT_VERSION:
                 raise VlmforgeError(f"{path}: unsupported checkpoint version {version}")
-            cfg = ModelConfig.from_json(json.loads(read(cfg_len)))
+            if 16 + cfg_len > size:
+                raise VlmforgeError(f"{path}: truncated checkpoint")
+            try:
+                cfg = ModelConfig.from_json(json.loads(fh.read(cfg_len).decode("utf-8")))
+            except (ValueError, ConfigMismatchError) as exc:  # not UTF-8 JSON, or no ModelConfig
+                raise VlmforgeError(f"{path}: bad checkpoint config: {exc}") from None
             if expect_cfg is not None and cfg != expect_cfg:
                 raise ConfigMismatchError(f"{path}: checkpoint config mismatch")
-            (n_params,) = struct.unpack("<I", read(4))
-            params: dict[str, np.ndarray] = {}
-            for _ in range(n_params):
-                (name_len,) = struct.unpack("<H", read(2))
-                name = read(name_len).decode()
-                (ndim,) = struct.unpack("<I", read(4))
-                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-                count = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
-                params[name] = arr.astype(cfg.np_dtype)
-        return Model(cfg, params)
+            dtype = np.dtype(cfg.np_dtype).newbyteorder("<")
+            sizes = Model._group_sizes(cfg)
+            want, have = sum(sizes.values()) * dtype.itemsize, size - 16 - cfg_len
+            if have != want:
+                raise VlmforgeError(f"{path}: {'truncated' if have < want else 'overlong'} "
+                                    f"checkpoint: {have} parameter bytes, config implies {want}")
+            buffers = {group: np.frombuffer(fh.read(n * dtype.itemsize), dtype)
+                       for group, n in sizes.items()}
+        return Model(cfg, Model.views(cfg, buffers))

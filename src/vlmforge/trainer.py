@@ -55,6 +55,9 @@ class StageSpec:
     def __post_init__(self):
         self.steps, self.batch_size = int(self.steps), int(self.batch_size)
         self.lr, self.text_only_fraction = float(self.lr), float(self.text_only_fraction)
+        for key, value in (("steps", self.steps), ("batch_size", self.batch_size)):
+            if value < 1:
+                raise VlmforgeError(f"stage {self.name!r}: {key} must be at least 1, not {value}")
 
     def warmup_steps(self) -> int:
         if self.warmup is not None:
@@ -133,7 +136,7 @@ class AdamW:
 
     A step updates each trainable group as one array: the model's group
     buffer and the moments, kept as one buffer per group too (`m_buffers`,
-    `v_buffers`; `m[name]`/`v[name]` are views into them). Every trainable
+    `v_buffers`; `m[name]`/`v[name]` are their `Model.views`). Every trainable
     parameter must therefore be the model's view into its group buffer;
     construction refuses one that was replaced, since its updates would miss
     the array the model reads.
@@ -142,28 +145,18 @@ class AdamW:
     def __init__(self, model: Model, policy: FreezePolicy, lr: float):
         self.model = model
         self.t = 0
-        self.groups: dict[str, list[str]] = {}  # trainable group -> names, buffer order
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.m_buffers: dict[str, np.ndarray] = {}
-        self.v_buffers: dict[str, np.ndarray] = {}
-        for group, buf in model.buffers.items():
-            if group not in policy.trainable:
-                continue
-            names = [n for n in model.params if Model.group_of(n) == group]
-            self.m_buffers[group] = np.zeros_like(buf)
-            self.v_buffers[group] = np.zeros_like(buf)
-            offset = 0
-            for name in names:
-                arr = model.params[name]
-                if arr.base is not buf or arr.ctypes.data != buf[offset:].ctypes.data:
-                    raise VlmforgeError(
-                        f"parameter {name!r} is not a view of the model's {group} buffer")
-                stop = offset + arr.size
-                self.m[name] = self.m_buffers[group][offset:stop].reshape(arr.shape)
-                self.v[name] = self.v_buffers[group][offset:stop].reshape(arr.shape)
-                offset = stop
-            self.groups[group] = names
+        trainable = {g: buf for g, buf in model.buffers.items() if g in policy.trainable}
+        for name, view in model.views(model.cfg, trainable).items():
+            if model.params[name].ctypes.data != view.ctypes.data:
+                raise VlmforgeError(f"parameter {name!r} is not a view of the model's "
+                                    f"{Model.group_of(name)} buffer")
+        self.m_buffers = {g: np.zeros_like(buf) for g, buf in trainable.items()}
+        self.v_buffers = {g: np.zeros_like(buf) for g, buf in trainable.items()}
+        self.m = model.views(model.cfg, self.m_buffers)
+        self.v = model.views(model.cfg, self.v_buffers)
+        self.groups = {g: [n for n in self.m if Model.group_of(n) == g] for g in trainable}
+        self.squares = {g: np.empty_like(buf) for g, buf in trainable.items()}  # clip-norm scratch
+        self.square_parts = model.views(model.cfg, self.squares)
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         """Update parameters and moments in place, `grads` read only, in the
@@ -173,13 +166,11 @@ class AdamW:
         order, so a group-wise step is bit-identical to a per-array one."""
         flat = {group: np.concatenate([grads[n] for n in names], axis=None)
                 for group, names in self.groups.items()}
+        for group, g in flat.items():
+            np.multiply(g, g, out=self.squares[group])
         sq = 0.0
-        for group, names in self.groups.items():
-            squares, offset = flat[group] * flat[group], 0
-            for name in names:
-                stop = offset + grads[name].size
-                sq += float(squares[offset:stop].sum())
-                offset = stop
+        for part in self.square_parts.values():
+            sq += float(part.sum())
         norm = math.sqrt(sq)
         scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         b1, b2 = ADAM_BETAS

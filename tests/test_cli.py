@@ -340,6 +340,52 @@ class TestBadInputsExit2:
         assert "truncated" in capsys.readouterr().err
 
 
+def write_rank_task(tmp_path):
+    task = tmp_path / "task.jsonl"
+    task.write_text(json.dumps({"name": "t", "metric": "candidate-rank"}) + "\n"
+                    + json.dumps({"item_id": "i0", "prompt": "p: ", "answer": "red",
+                                  "candidates": ["red", "blue"]}) + "\n")
+    return task
+
+
+class TestBadCheckpointsExit2:
+    """eval run refuses a corrupt checkpoint with exit 2, naming the file."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d[:16] + b"\xff" + d[17:],  # the config's first byte
+        lambda d: d[:-1],
+        lambda d: d + b"\x00",
+        lambda d: d[:8] + (1).to_bytes(4, "little") + d[12:],
+    ], ids=["non-utf8-config", "one-byte-short", "one-byte-long", "version-1"])
+    def test_corrupt_checkpoint(self, tmp_path, capsys, corrupt):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        task = write_rank_task(tmp_path)
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+
+class TestBadCountsExit2:
+    @pytest.mark.parametrize("steps", ["x,y,z", "0,0,0"])
+    def test_bad_steps(self, corpora, tmp_path, capsys, steps):
+        rc = main(["train", "run", "--preset", "d", "--corpus-b", str(corpora["pairs"]),
+                   "--out", str(tmp_path / "o"), "--steps", steps])
+        assert rc == 2
+        assert "steps" in capsys.readouterr().err
+
+    def test_negative_k(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        task = write_rank_task(tmp_path)
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                   "-k", "-1", "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "k=-1" in capsys.readouterr().err
+
+
 class TestShards:
     """pack run's default geometry fits the default model, and diag align
     refuses corrupt shard records with exit 2."""

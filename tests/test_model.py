@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -352,12 +353,9 @@ class TestCheckpoint:
         Model(ModelConfig(seed=1)).save_checkpoint(path)
         data = path.read_bytes()
         (cfg_len,) = struct.unpack("<I", data[12:16])
-        name_at = 16 + cfg_len + 4 + 2  # after the parameter count and name length
-        (name_len,) = struct.unpack("<H", data[name_at - 2 : name_at])
-        (ndim,) = struct.unpack("<I", data[name_at + name_len : name_at + name_len + 4])
-        data_at = name_at + name_len + 4 + 4 * ndim
+        buffers_at = 16 + cfg_len  # the group buffers follow the config
         cuts = {"magic": 5, "header": 12, "config": 16 + cfg_len // 2,
-                "name": name_at + 1, "data": data_at + 3, "last data": len(data) - 1}
+                "first buffer": buffers_at + 3, "last byte": len(data) - 1}
         for cut in cuts.values():
             path.write_bytes(data[:cut])
             with pytest.raises(VlmforgeError, match="truncated|not a VLMCKPT"):
@@ -371,12 +369,71 @@ class TestCheckpoint:
         plain.write_bytes(b"")
         assert path.stat().st_mode == plain.stat().st_mode
         before = path.read_bytes()
-        # a name UTF-8 cannot encode sorts last, so the write fails part way
-        model.params["\ud800"] = np.zeros(1)
-        with pytest.raises(UnicodeEncodeError):
+        # the last group buffer (vision, groups sorted) cannot be converted to
+        # float, so the write fails after the header and the other buffers
+        model.buffers["vision"] = np.array(["not a number"])
+        with pytest.raises(ValueError):
             model.save_checkpoint(path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "plain"]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_round_trip_is_exact_at_the_model_dtype(self, tmp_path, dtype):
+        model = Model(ModelConfig(seed=9, projector=TransformerBlockProjector(), dtype=dtype))
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(path)
+        loaded = Model.load_checkpoint(path)
+        assert loaded.cfg == model.cfg
+        assert loaded.params.keys() == model.params.keys()
+        for name, arr in model.params.items():
+            assert loaded.params[name].dtype == arr.dtype, name
+            assert np.array_equal(loaded.params[name], arr), name
+
+    def test_checkpoint_holds_only_config_and_buffers(self, tmp_path):
+        model = Model(ModelConfig(seed=3))
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[12:16])
+        assert data[16 + cfg_len:] == b"".join(
+            model.buffers[g].astype("<f8").tobytes() for g in sorted(model.buffers))
+        assert b"embed.tok" not in data
+
+    def test_undecodable_config_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        Model(ModelConfig(seed=1)).save_checkpoint(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:16] + b"}" + data[17:])  # the config JSON's first byte
+        with pytest.raises(VlmforgeError, match="bad checkpoint config") as exc:
+            Model.load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_config_that_implies_more_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        Model(ModelConfig(seed=1)).save_checkpoint(path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[12:16])
+        cfg = json.loads(data[16 : 16 + cfg_len])
+        cfg["vocab_size"] = 10**9  # the file holds far fewer bytes than this implies
+        raw = json.dumps(cfg, sort_keys=True).encode()
+        path.write_bytes(data[:12] + struct.pack("<I", len(raw)) + raw + data[16 + cfg_len:])
+        with pytest.raises(VlmforgeError, match="truncated checkpoint"):
+            Model.load_checkpoint(path)
+
+
+class TestGivenParams:
+    def test_wrong_name_rejected(self):
+        params = dict(Model(ModelConfig(seed=2)).params)
+        params["embed.position"] = params.pop("embed.pos")
+        with pytest.raises(ConfigMismatchError, match="embed.pos"):
+            Model(ModelConfig(seed=2), params)
+
+    def test_wrong_shape_rejected(self):
+        cfg = ModelConfig(seed=2)
+        params = dict(Model(cfg).params)
+        params["llm.block0.attn.wq"] = np.zeros(cfg.model_dim)  # would broadcast into (D, D)
+        with pytest.raises(ConfigMismatchError, match="llm.block0.attn.wq"):
+            Model(cfg, params)
 
 
 class TestConfigJson:

@@ -347,3 +347,11 @@ def test_runlog_csv_round_trip():
 def test_stage_plan_rejects_unknown_stage():
     with pytest.raises(VlmforgeError):
         StagePlan([StageSpec("warmup", PROJECTOR_ONLY, 1, 1e-3)])
+
+
+@pytest.mark.parametrize("key,value", [("steps", 0), ("batch_size", 0), ("batch_size", -2)])
+def test_stage_spec_rejects_counts_below_one(key, value):
+    fields = dict(name="pretrain", policy=PROJECTOR_ONLY, steps=1, lr=1e-3)
+    fields[key] = value
+    with pytest.raises(VlmforgeError, match=f"{key} must be at least 1, not {value}"):
+        StageSpec(**fields)
