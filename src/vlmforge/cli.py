@@ -203,9 +203,17 @@ def _parse_steps(text: str) -> tuple[int, int, int]:
     return tuple(parts)  # type: ignore[return-value]
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Replace `path` with `text` atomically, as checkpoints are written."""
+    with manifest.atomic_open(path) as fh:
+        fh.write(text)
+
+
 def cmd_train_run(args) -> int:
     if args.plan is None and args.preset is None:
         raise VlmforgeError("provide --preset or --plan")
+    if args.eval_items < 1:
+        raise VlmforgeError(f"--eval-items must be at least 1, not {args.eval_items}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -235,7 +243,7 @@ def cmd_train_run(args) -> int:
     log = trainer.run_recipe(plan, model, corpora, args.seed,
                              on_stage_end=on_stage_end)
     model.save_checkpoint(out_dir / "final.ckpt")
-    (out_dir / "runlog.csv").write_text(log.to_csv())
+    _write_output(out_dir / "runlog.csv", log.to_csv())
 
     # alignment profile on a probe batch from the training distribution
     tok = ByteTokenizer()
@@ -245,7 +253,7 @@ def cmd_train_run(args) -> int:
              for s in packing.pack_document(doc, tok, cfg.slot_length, cfg.max_positions)]
     pixels = packing.bind_pixels(probe, cfg.resolution)
     profile = diagnostics.alignment_profile(model, probe, pixels)
-    (out_dir / "align.csv").write_text(profile.to_csv())
+    _write_output(out_dir / "align.csv", profile.to_csv())
 
     # a small candidate-rank eval derived from the caption pairs
     if corpora.pairs:
@@ -265,7 +273,7 @@ def cmd_train_run(args) -> int:
         eval_pixels = {p.image_id: packing.pixels_for(p.image_id, cfg.resolution)
                        for p in eval_pairs}
         report = evaluation.run_eval(model, task, 0, args.seed, eval_pixels, tok)
-        (out_dir / "eval.csv").write_text(report.to_csv())
+        _write_output(out_dir / "eval.csv", report.to_csv())
         print(f"eval accuracy (0-shot, candidate-rank): {report.accuracy:.3f}")
 
     inputs = [p for p in (args.corpus_a, args.corpus_b) if p]

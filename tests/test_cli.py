@@ -376,6 +376,33 @@ class TestBadCountsExit2:
         assert rc == 2
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--heads", "0"), ("--model-dim", "-4")])
+    def test_model_size_below_one(self, corpora, tmp_path, capsys, flag, value):
+        rc = main(["train", "run", "--preset", "d", "--corpus-b", str(corpora["pairs"]),
+                   "--out", str(tmp_path / "o"), "--steps", "1,1,1", flag, value])
+        assert rc == 2
+        assert f"must be at least 1, not {value}" in capsys.readouterr().err
+
+    def test_checkpoint_config_with_zero_heads(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        data = ckpt.read_bytes()
+        assert data.count(b'"heads": 2') == 1
+        ckpt.write_bytes(data.replace(b'"heads": 2', b'"heads": 0'))
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(write_rank_task(tmp_path)),
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "heads must be at least 1, not 0" in err
+
+    @pytest.mark.parametrize("items", ["0", "-1"])
+    def test_eval_items_below_one(self, corpora, tmp_path, capsys, items):
+        rc = main(["train", "run", "--preset", "d", "--corpus-b", str(corpora["pairs"]),
+                   "--out", str(tmp_path / "o"), "--steps", "1,1,1", "--eval-items", items])
+        assert rc == 2
+        assert f"--eval-items must be at least 1, not {items}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_k(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         Model(ModelConfig()).save_checkpoint(ckpt)

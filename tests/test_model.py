@@ -1,6 +1,10 @@
+import ctypes
 import dataclasses
 import json
+import platform
+import resource
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -462,6 +466,32 @@ class TestConfigJson:
             ModelConfig.from_json(obj)
 
 
+class TestConfigSizes:
+    @pytest.mark.parametrize("key,value", [
+        ("resolution", 0), ("patch", 0), ("vision_dim", 0), ("model_dim", -4),
+        ("ffn_dim", 0), ("heads", 0), ("vocab_size", 0), ("max_positions", 0),
+        ("vision_layers", -1), ("llm_layers", -1),
+    ])
+    def test_size_below_minimum_rejected(self, key, value):
+        message = f"^{key} must be at least [01], not {value}$"
+        with pytest.raises(ConfigMismatchError, match=message):
+            ModelConfig(**{key: value})
+        with pytest.raises(ConfigMismatchError, match=key):
+            ModelConfig.from_json({key: value})
+
+    @pytest.mark.parametrize("projector,key", [
+        (TransformerBlockProjector(heads=0), "projector heads"),
+        (Downsample(factor=0), "projector factor"),
+    ])
+    def test_projector_size_below_one_rejected(self, projector, key):
+        with pytest.raises(ConfigMismatchError, match=f"^{key} must be at least 1, not 0$"):
+            ModelConfig(projector=projector)
+
+    def test_zero_layers_accepted(self):
+        cfg = ModelConfig(vision_layers=0, llm_layers=0)
+        assert (cfg.vision_layers, cfg.llm_layers) == (0, 0)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("shape", [(1, 32), (300, 32), (528, 16)])
 def test_layer_norm_equals_ndarray_mean_reference(dtype, shape):
@@ -738,3 +768,65 @@ class TestKVCache:
         want = self.reference_generate(model, prefix, pixels, max_new)
         assert 0 < len(want) < max_new
         assert model.generate(prefix, pixels, max_new) == want
+
+
+class TestFreedMemoryStaysInHeap:
+    """Importing the model fixes glibc's heap thresholds, so a training step
+    reuses the memory the last one freed instead of faulting it back in."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_steady_state_steps_barely_fault(self, tok):
+        from vlmforge import trainer
+
+        cfg = TestBatchedPath.cfg(TransformerBlockProjector())
+        # the benchmark's pretrain mix: 29-position caption pairs, 66-position
+        # two-image documents
+        batch = [make_sample(tok, cfg, "p" * 23, image_ids=(f"pair-{i}",)) for i in range(4)]
+        batch += [make_sample(tok, cfg, "d" * 56, image_ids=(f"doc-{i}-a", f"doc-{i}-b"))
+                  for i in range(4)]
+        assert sorted({len(s) for s in batch}) == [29, 66]
+        pixels = bind_pixels(batch, cfg.resolution)
+        model = Model(cfg)
+        policy = trainer.ALL_TRAINABLE  # every group but vision, as in the benchmark
+        opt = trainer.AdamW(model, policy, 1e-3)
+
+        def step():
+            _, grads = model.loss_and_grads(batch, pixels, trainable=policy.trainable)
+            opt.step(grads, 1e-3)
+
+        for _ in range(3):
+            step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            step()
+        per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
+        assert per_step < 50, f"{per_step} minor page faults per step"
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        from vlmforge import model as model_mod
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert model_mod._keep_freed_memory()
+        assert calls == [(-3, model_mod.HEAP_MMAP_THRESHOLD), (-1, model_mod.HEAP_TRIM_THRESHOLD)]
+
+    @pytest.mark.parametrize("libc", [
+        pytest.param(OSError("no C library"), id="no-library"),
+        pytest.param(types.SimpleNamespace(), id="no-mallopt"),
+        pytest.param(types.SimpleNamespace(mallopt=lambda param, value: 0), id="refused"),
+    ])
+    def test_without_mallopt_returns_quietly(self, monkeypatch, libc):
+        from vlmforge import model as model_mod
+
+        def cdll(name):
+            if isinstance(libc, OSError):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert model_mod._keep_freed_memory() is False
