@@ -90,7 +90,7 @@ def cmd_corpus_stats(args) -> int:
 
 
 def _write_jsonl(records, path, to_json):
-    with open(path, "w", encoding="utf-8") as fh:
+    with manifest.atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(to_json(record), sort_keys=True) + "\n")
 
@@ -203,7 +203,7 @@ def _parse_steps(text: str) -> tuple[int, int, int]:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _write_output(path: Path, text: str) -> None:
+def _write_output(path, text: str) -> None:
     """Replace `path` with `text` atomically, as checkpoints are written."""
     with manifest.atomic_open(path) as fh:
         fh.write(text)
@@ -214,8 +214,6 @@ def cmd_train_run(args) -> int:
         raise VlmforgeError("provide --preset or --plan")
     if args.eval_items < 1:
         raise VlmforgeError(f"--eval-items must be at least 1, not {args.eval_items}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     interleaved = (
         list(corpus_mod.parse_corpus(args.corpus_a, "interleaved-jsonl", strict=True))
@@ -227,6 +225,10 @@ def cmd_train_run(args) -> int:
     )
     if not interleaved and not pairs:
         raise VlmforgeError("at least one of --corpus-a / --corpus-b is required")
+    if pairs and args.eval_items >= len(pairs):
+        # the pairs past the eval items supply its distractor captions
+        raise VlmforgeError(f"--eval-items {args.eval_items} leaves no distractors: it must "
+                            f"be below the {len(pairs)} caption pairs")
     corpora = trainer.RecipeCorpora(interleaved, pairs)
 
     if args.preset is not None:
@@ -236,6 +238,8 @@ def cmd_train_run(args) -> int:
         plan, projector = _plan_from_json(args.plan), None
     cfg = _model_config(args, projector)
     model = Model(cfg)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def on_stage_end(stage_name: str, m: Model) -> None:
         m.save_checkpoint(out_dir / f"{stage_name}.ckpt")
@@ -262,17 +266,15 @@ def cmd_train_run(args) -> int:
         items = [
             evaluation.EvalItem(
                 item_id=f"eval-{i:04d}",
-                prompt="Describe the image: ",
+                prompt=trainer.CAPTION_PROMPT,
                 answer=p.caption,
                 image_id=p.image_id,
-                candidates=[p.caption, other[i % len(other)]] if other else [p.caption],
+                candidates=[p.caption, other[i % len(other)]],
             )
             for i, p in enumerate(eval_pairs)
         ]
         task = evaluation.EvalTask("caption-match", items, [], "candidate-rank")
-        eval_pixels = {p.image_id: packing.pixels_for(p.image_id, cfg.resolution)
-                       for p in eval_pairs}
-        report = evaluation.run_eval(model, task, 0, args.seed, eval_pixels, tok)
+        report = evaluation.run_eval(model, task, 0, args.seed)
         _write_output(out_dir / "eval.csv", report.to_csv())
         print(f"eval accuracy (0-shot, candidate-rank): {report.accuracy:.3f}")
 
@@ -286,14 +288,20 @@ def cmd_train_run(args) -> int:
     return 0
 
 
+def _read_runlog(path) -> trainer.RunLog:
+    try:
+        return trainer.RunLog.from_csv(Path(path).read_text())
+    except VlmforgeError as exc:
+        raise VlmforgeError(f"{path}:{exc}") from None
+
+
 def cmd_train_compare_loss(args) -> int:
-    log_a = trainer.RunLog.from_csv(Path(args.log_a).read_text())
-    log_b = trainer.RunLog.from_csv(Path(args.log_b).read_text())
+    log_a, log_b = _read_runlog(args.log_a), _read_runlog(args.log_b)
     report = trainer.compare_loss_curves(log_a, log_b, final_window=args.final_window)
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_output(args.out, text + "\n")
         manifest.write_manifest(args.out, "train compare-loss",
                                 {"final_window": args.final_window}, args.seed,
                                 [args.log_a, args.log_b], [args.out])
@@ -316,7 +324,7 @@ def cmd_diag_align(args) -> int:
             break
     pixels = packing.bind_pixels(samples, model.cfg.resolution)
     profile = diagnostics.alignment_profile(model, samples, pixels)
-    Path(args.out).write_text(profile.to_csv())
+    _write_output(args.out, profile.to_csv())
     manifest.write_manifest(args.out, "diag align", {},
                             args.seed, [args.ckpt, args.shard], [args.out])
     print(f"wrote {len(profile.per_layer)}-layer profile to {args.out}")
@@ -326,11 +334,8 @@ def cmd_diag_align(args) -> int:
 def cmd_eval_run(args) -> int:
     model = Model.load_checkpoint(args.ckpt)
     task = evaluation.load_task(args.task)
-    tok = ByteTokenizer()
-    image_ids = {i.image_id for i in task.items + task.demo_pool if i.image_id}
-    pixels = {iid: packing.pixels_for(iid, model.cfg.resolution) for iid in image_ids}
-    report = evaluation.run_eval(model, task, args.k, args.seed, pixels, tok)
-    Path(args.out).write_text(report.to_csv())
+    report = evaluation.run_eval(model, task, args.k, args.seed)
+    _write_output(args.out, report.to_csv())
     manifest.write_manifest(args.out, "eval run", {"k": args.k, "task": task.name},
                             args.seed, [args.ckpt, args.task], [args.out])
     print(f"{task.name} @ {args.k}-shot accuracy: {report.accuracy:.3f}")

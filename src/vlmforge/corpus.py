@@ -363,9 +363,9 @@ class BlendSampler:
             yield self.draw()
 
 
-def pair_as_document(pair: PairSample, doc_id: str | None = None) -> InterleavedDocument:
+def pair_as_document(pair: PairSample) -> InterleavedDocument:
     """View a pair sample as a two-segment document (image before its text)."""
     return InterleavedDocument(
-        doc_id=doc_id if doc_id is not None else f"pair:{pair.image_id}",
+        doc_id=f"pair:{pair.image_id}",
         segments=[ImageSegment(pair.image_id), TextSegment(pair.caption)],
     )

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigMismatchError, VlmforgeError
 from .model import fields_from_json
-from .packing import ByteTokenizer, PackedSample, pack_context
+from .packing import ByteTokenizer, PackedSample, bind_pixels, pack_context
 from .seeding import substream
 
 METRICS = ("exact-match", "candidate-rank")
@@ -147,23 +148,18 @@ def score_item(
     raise VlmforgeError(f"unknown metric {metric!r}")
 
 
-def run_eval(
-    model,
-    task: EvalTask,
-    k: int,
-    seed: int,
-    pixels: dict[str, np.ndarray],
-    tok: ByteTokenizer | None = None,
-) -> EvalReport:
-    """Score every item at k shots and aggregate accuracy deterministically."""
+def run_eval(model, task: EvalTask, k: int, seed: int) -> EvalReport:
+    """Score every item at k shots and aggregate accuracy deterministically;
+    each item's context is bound to its images' pixels at the model's resolution."""
     task.validate()
-    tok = tok or ByteTokenizer()
+    tok = ByteTokenizer()
     report = EvalReport(task.name, k)
     for item in sorted(task.items, key=lambda it: it.item_id):
         packed = build_kshot(
             item, k, task.demo_pool, seed, tok,
             model.cfg.slot_length, model.cfg.max_positions,
         )
+        pixels = bind_pixels([packed], model.cfg.resolution)
         prediction, correct = score_item(model, packed, pixels, task.metric, item, tok)
         report.records.append((item.item_id, prediction, correct))
     return report
@@ -173,37 +169,50 @@ def run_eval(
 # task file format: jsonl with a header record, then one record per item
 
 
-def _item_from_json(obj) -> EvalItem:
-    return EvalItem(**fields_from_json(EvalItem, obj))
+@dataclass
+class TaskHeader:
+    """A task file's first record: the task's name and metric, and the file
+    of its demo pool, beside the task file (absent: no demos)."""
+
+    name: str
+    metric: str
+    demo_pool: str | None = None
+
+
+def _read_jsonl(path) -> list[tuple[int, str]]:
+    """The non-blank lines of `path` with their 1-based line numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()]
+
+
+def _record(path, line_no: int, line: str, cls):
+    """Line `line_no` of `path` as a `cls`; a bad record raises VlmforgeError
+    naming the file and line."""
+    try:
+        return cls(**fields_from_json(cls, json.loads(line)))
+    except (VlmforgeError, json.JSONDecodeError) as exc:
+        raise VlmforgeError(f"{path}:line {line_no}: {exc}") from None
 
 
 def load_task(path) -> EvalTask:
-    """Load a task file; the header names the metric and the demo-pool file."""
-    import os
-
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+    """Load a task file: a TaskHeader record, then one EvalItem per line."""
+    lines = _read_jsonl(path)
     if not lines:
         raise VlmforgeError(f"{path}: empty task file")
-    header = json.loads(lines[0])
-    if "metric" not in header or "name" not in header:
-        raise VlmforgeError(f"{path}: first record must name the task and metric")
-    items = [_item_from_json(json.loads(line)) for line in lines[1:]]
+    header = _record(path, *lines[0], TaskHeader)
+    items = [_record(path, *entry, EvalItem) for entry in lines[1:]]
     demo_pool: list[EvalItem] = []
-    pool_ref = header.get("demo_pool")
-    if pool_ref:
-        pool_path = os.path.join(os.path.dirname(os.fspath(path)), pool_ref)
-        with open(pool_path, "r", encoding="utf-8") as fh:
-            demo_pool = [
-                _item_from_json(json.loads(line)) for line in fh if line.strip()
-            ]
-    task = EvalTask(header["name"], items, demo_pool, header["metric"])
+    if header.demo_pool:
+        pool_path = os.path.join(os.path.dirname(os.fspath(path)), header.demo_pool)
+        demo_pool = [_record(pool_path, *entry, EvalItem) for entry in _read_jsonl(pool_path)]
+    task = EvalTask(header.name, items, demo_pool, header.metric)
     task.validate()
     return task
 
 
-def save_task(task: EvalTask, path, demo_pool_name: str | None = None) -> None:
-    import os
+def save_task(task: EvalTask, path) -> None:
+    """Write `task` to `path`, and its demo pool, if any, beside it as
+    `<file name>.demos`."""
 
     def dump(item: EvalItem) -> str:
         obj = {"item_id": item.item_id, "prompt": item.prompt, "answer": item.answer}
@@ -215,9 +224,8 @@ def save_task(task: EvalTask, path, demo_pool_name: str | None = None) -> None:
 
     header = {"name": task.name, "metric": task.metric}
     if task.demo_pool:
-        demo_pool_name = demo_pool_name or (os.path.basename(os.fspath(path)) + ".demos")
-        header["demo_pool"] = demo_pool_name
-        pool_path = os.path.join(os.path.dirname(os.fspath(path)), demo_pool_name)
+        header["demo_pool"] = os.path.basename(os.fspath(path)) + ".demos"
+        pool_path = os.path.join(os.path.dirname(os.fspath(path)), header["demo_pool"])
         with open(pool_path, "w", encoding="utf-8") as fh:
             for demo in task.demo_pool:
                 fh.write(dump(demo) + "\n")

@@ -22,6 +22,10 @@ from .errors import VlmforgeError
 from .seeding import substream
 
 
+PAIR_LONG_FRACTION = 0.7  # share of captions at the longer length: mean 22.7 bytes
+TOPIC_LENGTH = 6  # letters in each document's or caption's topic string
+
+
 @dataclass
 class FixtureSpec:
     n_docs: int = 100
@@ -29,8 +33,6 @@ class FixtureSpec:
     tokens_per_image: float = 122.5
     n_pairs: int = 200
     pair_caption_lengths: tuple[int, int] = (22, 23)
-    pair_long_fraction: float = 0.7  # -> mean caption length 22.7
-    topic_length: int = 6
     seed: int = 0
 
     def validate(self) -> None:
@@ -40,13 +42,13 @@ class FixtureSpec:
             raise VlmforgeError("images_per_doc must be positive")
         if self.tokens_per_image < 1:
             raise VlmforgeError("tokens_per_image target below 1 is unreachable")
-        if min(self.pair_caption_lengths) < self.topic_length:
+        if min(self.pair_caption_lengths) < TOPIC_LENGTH:
             raise VlmforgeError("pair captions shorter than the topic are unreachable")
 
 
-def _topic(rng, length: int) -> str:
+def _topic(rng) -> str:
     letters = string.ascii_lowercase
-    return "".join(letters[i] for i in rng.integers(0, len(letters), size=length))
+    return "".join(letters[i] for i in rng.integers(0, len(letters), size=TOPIC_LENGTH))
 
 
 def _filled_text(topic: str, n_bytes: int) -> str:
@@ -63,7 +65,7 @@ def make_interleaved(spec: FixtureSpec) -> list[InterleavedDocument]:
     rng = substream(spec.seed, "fixtures/interleaved")
     docs = []
     for d in range(spec.n_docs):
-        topic = _topic(rng, spec.topic_length)
+        topic = _topic(rng)
         n_img = spec.images_per_doc
         total_bytes = round(spec.tokens_per_image * n_img)
         base, extra = divmod(total_bytes, n_img)
@@ -90,10 +92,10 @@ def make_pairs(spec: FixtureSpec) -> list[PairSample]:
     spec.validate()
     rng = substream(spec.seed, "fixtures/pairs")
     short, long = sorted(spec.pair_caption_lengths)
-    n_long = round(spec.n_pairs * spec.pair_long_fraction)
+    n_long = round(spec.n_pairs * PAIR_LONG_FRACTION)
     pairs = []
     for i in range(spec.n_pairs):
-        topic = _topic(rng, spec.topic_length)
+        topic = _topic(rng)
         length = long if i < n_long else short
         caption = _filled_text(topic, length)
         score = round(float(rng.uniform(0.0, 1.0)), 6)

@@ -317,11 +317,14 @@ def _mean_last(a):
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def _ln_fwd(x, g, b, eps=1e-5):
+LN_EPS = 1e-5  # LayerNorm's variance floor
+
+
+def _ln_fwd(x, g, b):
     mu = _mean_last(x)
     xc = x - mu
     var = _mean_last(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
 
@@ -385,16 +388,15 @@ def _qkv_weights(p, prefix):
     return w, b
 
 
-def _attn_fwd(x, p, prefix, heads, causal, layout=None, past=None):
-    """Multi-head attention over the flat rows of `layout` (default: one sequence).
+def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
+    """Multi-head attention over the flat rows of `layout`.
 
     Each sequence attends within itself only. `past` is (key buffer, value
     buffer, P) of one sequence whose first P positions are cached: the rows,
     positions P.., write their keys and values there and attend over
     [:P + rows].
     """
-    N, D = x.shape
-    layout = layout or _Layout([N])
+    D = x.shape[1]
     dh = D // heads
     w, b = _qkv_weights(p, prefix)
     qkv = x @ w + b
@@ -458,7 +460,7 @@ def _attn_bwd(dout, cache, p, g, prefix, heads):
     return dqkv @ w.T
 
 
-def _block_fwd(x, p, prefix, heads, causal, layout=None, past=None):
+def _block_fwd(x, p, prefix, heads, causal, layout, past=None):
     h1, ln1_cache = _ln_fwd(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
     x2, attn_cache = _attn_fwd(h1, p, f"{prefix}.attn", heads, causal, layout, past)
     x2 += x
@@ -642,9 +644,6 @@ class Model:
 
     def group_names(self) -> list[str]:
         return list(self.buffers)
-
-    def param_count(self, group: str | None = None) -> int:
-        return sum(buf.size for g, buf in self.buffers.items() if group in (None, g))
 
     # -- vision path
 

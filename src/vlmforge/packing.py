@@ -77,7 +77,7 @@ class PackedSample:
     def __len__(self) -> int:
         return int(self.tokens.shape[0])
 
-    def validate(self, slot_length: int | None = None) -> None:
+    def validate(self) -> None:
         L = len(self)
         if not (len(self.modality_mask) == len(self.loss_mask) == L):
             raise ValueError("mask lengths disagree with tokens")
@@ -90,10 +90,6 @@ class PackedSample:
             if covered[slot.start : slot.start + slot.length].any():
                 raise ValueError(f"slot {slot} overlaps another slot")
             covered[slot.start : slot.start + slot.length] = True
-            if slot_length is not None and slot.length != slot_length:
-                raise ValueError(
-                    f"slot length {slot.length} != configured {slot_length}"
-                )
         image_positions = self.modality_mask == IMAGE
         if not np.array_equal(image_positions, covered):
             raise ValueError("IMAGE positions are not exactly the slot positions")
@@ -306,7 +302,7 @@ def write_shard(samples, path, vocab_hash: bytes, cfg_hash: bytes) -> int:
     return count
 
 
-def read_shard(path, vocab_hash: bytes | None = None, cfg_hash: bytes | None = None):
+def read_shard(path, vocab_hash: bytes, cfg_hash: bytes):
     """Stream samples back from a shard, refusing mismatched vocab/config and
     any record that does not decode to a valid sample."""
     with open(path, "rb") as fh:
@@ -316,11 +312,9 @@ def read_shard(path, vocab_hash: bytes | None = None, cfg_hash: bytes | None = N
         (version,) = struct.unpack_from("<I", header, 8)
         if version != SHARD_VERSION:
             raise ShardFormatError(f"{path}: unsupported shard version {version}")
-        file_vocab = header[12:44]
-        file_cfg = header[44:76]
-        if vocab_hash is not None and file_vocab != vocab_hash:
+        if header[12:44] != vocab_hash:
             raise ShardFormatError(f"{path}: vocab hash mismatch, refusing to load")
-        if cfg_hash is not None and file_cfg != cfg_hash:
+        if header[44:76] != cfg_hash:
             raise ShardFormatError(f"{path}: config hash mismatch, refusing to load")
         while True:
             offset = fh.tell()

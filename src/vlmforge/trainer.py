@@ -12,7 +12,7 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -106,18 +106,22 @@ class RunLog:
 
     @staticmethod
     def from_csv(text: str) -> "RunLog":
+        """The records of `to_csv` text; a missing column, a short row or a
+        value that does not parse raises VlmforgeError naming the line."""
         reader = csv.DictReader(io.StringIO(text))
-        records = [
-            LogRecord(
-                int(row["step"]),
-                row["stage"],
-                float(row["loss"]),
-                float(row["lr"]),
-                int(row["tokens"]),
-                int(row["images"]),
-            )
-            for row in reader
-        ]
+        missing = [c for c in RunLog.COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise VlmforgeError(f"line 1: no {', '.join(missing)} column")
+        records = []
+        for row in reader:
+            step, stage, loss, lr, tokens, images = (row[c] for c in RunLog.COLUMNS)
+            try:
+                if None in (step, stage, loss, lr, tokens, images):
+                    raise ValueError(f"fewer than {len(reader.fieldnames)} fields")
+                records.append(LogRecord(int(step), stage, float(loss), float(lr),
+                                         int(tokens), int(images)))
+            except ValueError as exc:
+                raise VlmforgeError(f"line {reader.line_num}: {exc}") from None
         return RunLog(records)
 
     def losses(self, stage: str | None = None) -> list[float]:
@@ -136,25 +140,24 @@ class AdamW:
 
     A step updates each trainable group as one array: the model's group
     buffer and the moments, kept as one buffer per group too (`m_buffers`,
-    `v_buffers`; `m[name]`/`v[name]` are their `Model.views`). Every trainable
-    parameter must therefore be the model's view into its group buffer;
-    construction refuses one that was replaced, since its updates would miss
-    the array the model reads.
+    `v_buffers`, laid out as `Model.views` says). Every trainable parameter
+    must therefore be the model's view into its group buffer; construction
+    refuses one that was replaced, since its updates would miss the array
+    the model reads.
     """
 
     def __init__(self, model: Model, policy: FreezePolicy, lr: float):
         self.model = model
         self.t = 0
         trainable = {g: buf for g, buf in model.buffers.items() if g in policy.trainable}
-        for name, view in model.views(model.cfg, trainable).items():
+        views = model.views(model.cfg, trainable)
+        for name, view in views.items():
             if model.params[name].ctypes.data != view.ctypes.data:
                 raise VlmforgeError(f"parameter {name!r} is not a view of the model's "
                                     f"{Model.group_of(name)} buffer")
         self.m_buffers = {g: np.zeros_like(buf) for g, buf in trainable.items()}
         self.v_buffers = {g: np.zeros_like(buf) for g, buf in trainable.items()}
-        self.m = model.views(model.cfg, self.m_buffers)
-        self.v = model.views(model.cfg, self.v_buffers)
-        self.groups = {g: [n for n in self.m if Model.group_of(n) == g] for g in trainable}
+        self.groups = {g: [n for n in views if Model.group_of(n) == g] for g in trainable}
         self.squares = {g: np.empty_like(buf) for g, buf in trainable.items()}  # clip-norm scratch
         self.square_parts = model.views(model.cfg, self.squares)
 
@@ -313,6 +316,7 @@ PRESETS = {
 
 PRESET_LRS = (1e-2, 3e-3, 1e-3)  # init-projector, pretrain, sft
 PRESET_TEXT_ONLY_FRACTION = 0.25  # sft share of text-only demos
+CAPTION_PROMPT = "Describe the image: "  # prompt of the visual SFT demos
 
 
 def preset_plan(
@@ -353,20 +357,6 @@ class RecipeCorpora:
 
     interleaved: list[corpus_mod.InterleavedDocument]
     pairs: list[corpus_mod.PairSample]
-    sft_visual: list[tuple[str, str, str]] = field(default_factory=list)
-    sft_text: list[tuple[None, str, str]] = field(default_factory=list)
-
-    def default_sft_demos(self) -> None:
-        """Derive instruction demos from captions when none were supplied."""
-        if not self.sft_visual:
-            self.sft_visual = [
-                (p.image_id, "Describe the image: ", p.caption) for p in self.pairs
-            ]
-        if not self.sft_text:
-            self.sft_text = [
-                (None, "Repeat after me: " + p.caption + " -> ", p.caption)
-                for p in self.pairs
-            ]
 
 
 def stage_batches(
@@ -378,17 +368,14 @@ def stage_batches(
     seed: int,
 ) -> Iterator[list[PackedSample]]:
     """Deterministic batch stream for one stage of the recipe: caption pairs for
-    init-projector, an equal blend of whichever corpora are present for pretrain."""
+    init-projector, an equal blend of whichever corpora are present for pretrain,
+    and for sft two demos per caption pair: a visual one (describe the image)
+    and a text-only one (repeat the caption)."""
     if stage.name == "sft":
-        corpora.default_sft_demos()
-        stream = sft_sample_stream(
-            corpora.sft_visual,
-            corpora.sft_text,
-            stage.text_only_fraction,
-            tok,
-            cfg,
-            seed,
-        )
+        visual = [(p.image_id, CAPTION_PROMPT, p.caption) for p in corpora.pairs]
+        text = [(None, "Repeat after me: " + p.caption + " -> ", p.caption)
+                for p in corpora.pairs]
+        stream = sft_sample_stream(visual, text, stage.text_only_fraction, tok, cfg, seed)
         return batched(stream, stage.batch_size)
     pair_docs = [corpus_mod.pair_as_document(p) for p in corpora.pairs]
     if stage.name == "init-projector":
@@ -425,7 +412,10 @@ def run_recipe(
 
 
 def compare_loss_curves(log_a: RunLog, log_b: RunLog, final_window: int = 100) -> dict:
-    """Mean and final-window loss gap (a - b) over aligned steps."""
+    """Mean and final-window loss gap (a - b) over aligned steps; the window
+    is the last `final_window` of them, at least 1."""
+    if final_window < 1:
+        raise VlmforgeError(f"the final window must be at least 1 step, not {final_window}")
     a = {(r.stage, r.step): r.loss for r in log_a.records}
     b = {(r.stage, r.step): r.loss for r in log_b.records}
     shared = sorted(set(a) & set(b))

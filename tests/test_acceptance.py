@@ -361,16 +361,15 @@ def color_task(n_items=200, seed=0):
                               image_id=image_id, candidates=[answer, distractor]))
         demos.append((image_id, "color: ", answer))
     task = EvalTask("colors", items, [], "candidate-rank")
-    pixels = {f"img-{i:03d}": pixels_for(f"img-{i:03d}", 16) for i in range(n_items)}
-    return task, demos, pixels
+    return task, demos
 
 
 def test_criterion_12_eval_chance_band_and_ceiling():
     cfg = toy_cfg(seed=0)
-    task, demos, pixels = color_task()
+    task, demos = color_task()
 
     random_model = Model(cfg)
-    random_acc = run_eval(random_model, task, 0, 0, pixels, TOK).accuracy
+    random_acc = run_eval(random_model, task, 0, 0).accuracy
 
     overfit = Model(cfg)
     samples = [pack_sft(d, TOK, cfg.slot_length) for d in demos]
@@ -382,7 +381,7 @@ def test_criterion_12_eval_chance_band_and_ceiling():
     stage = StageSpec("sft", ALL_TRAINABLE, steps=300, lr=1e-2, warmup=10,
                       batch_size=len(samples))
     run_stage(stage, overfit, full_batches())
-    overfit_acc = run_eval(overfit, task, 0, 0, pixels, TOK).accuracy
+    overfit_acc = run_eval(overfit, task, 0, 0).accuracy
 
     report(12, "random weights score at chance and an overfit model scores 1.0",
            0.40 <= random_acc <= 0.60 and overfit_acc == 1.0,

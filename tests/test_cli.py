@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -6,7 +7,7 @@ from vlmforge.cli import main
 from vlmforge.fixtures import FixtureSpec, fixture_gen
 from vlmforge.model import Downsample, Model, ModelConfig, TransformerBlockProjector
 from vlmforge.packing import ByteTokenizer, config_hash, pack_sft, write_shard
-from vlmforge.trainer import RunLog
+from vlmforge.trainer import LogRecord, RunLog
 
 
 @pytest.fixture()
@@ -403,6 +404,15 @@ class TestBadCountsExit2:
         assert f"--eval-items must be at least 1, not {items}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_eval_items_without_distractors(self, corpora, tmp_path, capsys):
+        # the fixture has 40 caption pairs; the pairs after the items are the distractors
+        rc = main(["train", "run", "--preset", "d", "--corpus-b", str(corpora["pairs"]),
+                   "--out", str(tmp_path / "o"), "--steps", "1,1,1", "--eval-items", "50"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--eval-items 50" in err and "40 caption pairs" in err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_k(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         Model(ModelConfig()).save_checkpoint(ckpt)
@@ -455,3 +465,97 @@ class TestShards:
                     config_hash(cfg.resolution, cfg.patch, cfg.downsample))
         assert self.align(tmp_path, shard) == 2
         assert "out of bounds" in capsys.readouterr().err
+
+
+class TestBadTaskHeaderExit2:
+    """eval run names the file, the line and what is wrong with a task header."""
+
+    @pytest.mark.parametrize("header,message", [
+        ("5", "must be a JSON object, not 5"),
+        ('"metric name"', "must be a JSON object, not 'metric name'"),
+        ('{"name": "t", "metric": "candidate-rank", "demo_pool": 5}',
+         "key 'demo_pool' must be a string or null, not 5"),
+        ('{"name": "t"}', "lacks required keys: metric"),
+    ], ids=["number", "string", "demo-pool-number", "no-metric"])
+    def test_bad_header(self, tmp_path, capsys, header, message):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        task = tmp_path / "task.jsonl"
+        task.write_text(header + "\n" + json.dumps(
+            {"item_id": "i0", "prompt": "p: ", "answer": "red",
+             "candidates": ["red", "blue"]}) + "\n")
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{task}:line 1:" in err and message in err
+
+
+class TestCompareLossInputs:
+    """compare-loss exits 2 on a runlog it cannot read and on a final window
+    below 1, naming the file and line or the window."""
+
+    @staticmethod
+    def write_log(path):
+        path.write_text(RunLog([LogRecord(s, "pretrain", 1.0 / (s + 1), 1e-3, 10 * s, s)
+                                for s in range(4)]).to_csv())
+        return path
+
+    @pytest.mark.parametrize("corrupt,where,message", [
+        (lambda t: t.replace("step,", "", 1), "line 1", "no step column"),
+        (lambda t: t.replace("0.5", "half", 1), "line 3", "could not convert string to float"),
+        (lambda t: t.replace(",10,1\n", "\n", 1), "line 3", "fewer than 6 fields"),
+    ], ids=["missing-column", "not-a-number", "short-row"])
+    def test_unreadable_runlog(self, tmp_path, capsys, corrupt, where, message):
+        good = self.write_log(tmp_path / "a.csv")
+        bad = tmp_path / "b.csv"
+        bad.write_text(corrupt(good.read_text()))
+        assert bad.read_text() != good.read_text()
+        rc = main(["train", "compare-loss", str(good), str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{where}:" in err and message in err
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_final_window_below_one(self, tmp_path, capsys, window):
+        log = self.write_log(tmp_path / "a.csv")
+        rc = main(["train", "compare-loss", str(log), str(log), "--final-window", window])
+        assert rc == 2
+        assert f"at least 1 step, not {window}" in capsys.readouterr().err
+
+
+class TestOutputsReplacedAtomically:
+    """Every command's output replaces the old file in one rename of a
+    finished temporary file, so an interrupted run never leaves half of one."""
+
+    @staticmethod
+    def replaced(monkeypatch):
+        targets, real = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (targets.append(str(dst)),
+                                                             real(src, dst)))
+        return targets
+
+    def test_corpus_commands(self, corpora, tmp_path, monkeypatch):
+        targets = self.replaced(monkeypatch)
+        pairs, docs, top = (tmp_path / n for n in ("p.jsonl", "r.jsonl", "t.jsonl"))
+        assert main(["corpus", "to-pairs", str(corpora["interleaved"]), str(pairs)]) == 0
+        assert main(["corpus", "reformat", str(corpora["interleaved"]), str(docs)]) == 0
+        assert main(["corpus", "topk", str(pairs), str(top), "-k", "3"]) == 0
+        assert {str(pairs), str(docs), str(top)} <= set(targets)
+        assert len(top.read_text().splitlines()) == 3
+
+    def test_diag_eval_and_compare_loss(self, corpora, tmp_path, monkeypatch):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        shard = TestShards.pack(corpora, tmp_path)
+        log = TestCompareLossInputs.write_log(tmp_path / "log.csv")
+        outs = [tmp_path / n for n in ("a.csv", "e.csv", "c.json")]
+        targets = self.replaced(monkeypatch)
+        assert main(["diag", "align", "--ckpt", str(ckpt), "--shard", str(shard),
+                     "--out", str(outs[0])]) == 0
+        assert main(["eval", "run", "--ckpt", str(ckpt), "--task", str(write_rank_task(tmp_path)),
+                     "--out", str(outs[1])]) == 0
+        assert main(["train", "compare-loss", str(log), str(log), "--final-window", "2",
+                     "--out", str(outs[2])]) == 0
+        assert {str(p) for p in outs} <= set(targets)
+        assert json.loads(outs[2].read_text())["final_window"] == 2

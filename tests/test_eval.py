@@ -56,7 +56,8 @@ class TestBuildKshot:
         s = build_kshot(item, 3, pool, 0, tok, 4, 256)
         assert len(s.image_slots) == 4
         assert s.image_slots[-1].image_id == "qimg"
-        s.validate(slot_length=4)
+        s.validate()
+        assert [slot.length for slot in s.image_slots] == [4] * 4
         assert int((s.modality_mask == IMAGE).sum()) == 16
 
     def test_seed_determinism_and_sensitivity(self, tok):
@@ -121,23 +122,19 @@ def rank_setup():
         for c in colors
     ]
     task = EvalTask("colors", items, demo_pool=[], metric="candidate-rank")
-    pixels = {f"img-{c}": None for c in colors}
-    from vlmforge.packing import pixels_for
-
-    pixels = {k: pixels_for(k, 16) for k in pixels}
-    return model, task, pixels
+    return model, task
 
 
 class TestScoring:
     def test_overfit_candidate_rank_is_perfect(self, rank_setup, tok):
-        model, task, pixels = rank_setup
-        report = run_eval(model, task, k=0, seed=0, pixels=pixels, tok=tok)
+        model, task = rank_setup
+        report = run_eval(model, task, k=0, seed=0)
         assert report.accuracy == 1.0
 
     def test_overfit_exact_match_is_perfect(self, rank_setup, tok):
-        model, task, pixels = rank_setup
+        model, task = rank_setup
         em = EvalTask("colors-em", task.items, [], metric="exact-match")
-        report = run_eval(model, em, k=0, seed=0, pixels=pixels, tok=tok)
+        report = run_eval(model, em, k=0, seed=0)
         assert report.accuracy == 1.0
 
     def test_tie_breaks_to_first_listed(self, tok, tiny_model):
@@ -149,17 +146,17 @@ class TestScoring:
                                          item, tok)
         assert prediction == "aa" and correct == 1
 
-    def test_run_eval_deterministic(self, rank_setup, tok):
-        model, task, pixels = rank_setup
-        a = run_eval(model, task, 0, 5, pixels, tok)
-        b = run_eval(model, task, 0, 5, pixels, tok)
+    def test_run_eval_deterministic(self, rank_setup):
+        model, task = rank_setup
+        a = run_eval(model, task, 0, 5)
+        b = run_eval(model, task, 0, 5)
         assert a.records == b.records
 
-    def test_run_eval_item_order_invariant(self, rank_setup, tok):
-        model, task, pixels = rank_setup
+    def test_run_eval_item_order_invariant(self, rank_setup):
+        model, task = rank_setup
         shuffled = EvalTask(task.name, list(reversed(task.items)), [], task.metric)
-        a = run_eval(model, task, 0, 5, pixels, tok)
-        b = run_eval(model, shuffled, 0, 5, pixels, tok)
+        a = run_eval(model, task, 0, 5)
+        b = run_eval(model, shuffled, 0, 5)
         assert a.records == b.records
 
     def test_report_csv(self):
@@ -289,5 +286,5 @@ class TestBatchedScoring:
                                    model.cfg.max_positions)) for it in task.items]
         # contexts leave fewer than the default 32 new tokens of room
         assert max(lengths) > model.cfg.max_positions - 32
-        report = run_eval(model, task, k=4, seed=0, pixels=pixels, tok=tok)
+        report = run_eval(model, task, k=4, seed=0)
         assert [r[0] for r in report.records] == sorted(it.item_id for it in task.items)

@@ -134,7 +134,7 @@ class TestProjector:
         for variant in (Linear(), Downsample(2), TransformerBlockProjector(2)):
             cfg = ModelConfig(vision_dim=16, model_dim=24, ffn_dim=32,
                               projector=variant, heads=2, seed=0)
-            counts[variant.kind] = Model(cfg).param_count("projector")
+            counts[variant.kind] = Model(cfg).buffers["projector"].size
         assert counts["linear"] == 16 * 24 + 24
         assert counts["downsample"] == 4 * 16 * 24 + 24
         assert counts["transformer"] > counts["linear"]
@@ -177,7 +177,7 @@ class TestForward:
         p = model.params
         x = p["embed.tok"][sample.tokens.astype(int)] + p["embed.pos"][:len(sample)]
         for i in range(tiny_cfg.llm_layers):
-            x, _ = _block_fwd(x, p, f"llm.block{i}", tiny_cfg.heads, causal=True)
+            x, _ = _block_fwd(x, p, f"llm.block{i}", tiny_cfg.heads, True, _Layout([len(x)]))
         normed, _ = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
         want = normed @ p["head.w"] + p["head.b"]
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -195,14 +195,14 @@ class TestForward:
         p = model.params
         flat = model._patchify(pixels["i"])
         v = flat @ p["vision.patch.w"] + p["vision.patch.b"] + p["vision.pos"]
-        v, _ = _block_fwd(v, p, "vision.block0", cfg.heads, causal=False)
+        v, _ = _block_fwd(v, p, "vision.block0", cfg.heads, False, _Layout([len(v)]))
         proj = v @ p["projector.w"] + p["projector.b"]
         x = p["embed.tok"][sample.tokens.astype(int)].copy()
         slot = sample.image_slots[0]
         x[slot.start:slot.start + slot.length] = proj
         x += p["embed.pos"][:len(sample)]
         for i in range(2):
-            x, _ = _block_fwd(x, p, f"llm.block{i}", cfg.heads, causal=True)
+            x, _ = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, _Layout([len(x)]))
         normed, _ = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
         want = normed @ p["head.w"] + p["head.b"]
         np.testing.assert_allclose(got, want, atol=1e-5)
@@ -505,7 +505,7 @@ def test_layer_norm_equals_ndarray_mean_reference(dtype, shape):
     dxhat = dout * g
     want_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                      - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    out, cache = _ln_fwd(x, g, b, eps)
+    out, cache = _ln_fwd(x, g, b)
     assert out.dtype == dtype
     assert np.array_equal(out, xhat * g + b)
     assert np.array_equal(_ln_bwd(dout, cache, None, "ln"), want_dx)
@@ -519,7 +519,7 @@ class TestParameterBuffers:
             names = [n for n in model.params if model.group_of(n) == group]
             assert names == sorted(names)
             assert buf.ndim == 1 and buf.flags.c_contiguous
-            assert buf.size == model.param_count(group)
+            assert buf.size == sum(model.params[n].size for n in names)
             for name in names:
                 assert np.shares_memory(model.params[name], buf), name
             assert np.array_equal(np.concatenate([model.params[n] for n in names], axis=None),
@@ -709,7 +709,8 @@ class TestGroupedAttention:
         got, _ = _attn_fwd(x, p, "llm.block0.attn", cfg.heads, causal, _Layout(self.LENGTHS))
         start = 0
         for n in self.LENGTHS:
-            want, _ = _attn_fwd(x[start : start + n], p, "llm.block0.attn", cfg.heads, causal)
+            want, _ = _attn_fwd(x[start : start + n], p, "llm.block0.attn", cfg.heads, causal,
+                                _Layout([n]))
             np.testing.assert_allclose(got[start : start + n], want, rtol=1e-12, atol=1e-14)
             start += n
 

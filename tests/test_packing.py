@@ -69,7 +69,7 @@ class TestPackDocument:
         assert list(sample.modality_mask) == [TEXT] + [IMAGE] * 4 + [TEXT] * 4
         assert list(sample.loss_mask) == [0, 0, 0, 0, 0, 1, 1, 1, 1]
         assert sample.image_slots == [ImageSlot(1, 4, "im1")]
-        sample.validate(slot_length=4)
+        sample.validate()
 
     def test_text_only_doc(self, tok):
         doc = InterleavedDocument("d", [TextSegment("xyz")])
@@ -86,7 +86,8 @@ class TestPackDocument:
             text = "".join(s.text for s in doc.segments if isinstance(s, TextSegment))
             samples = pack_document(doc, tok, 4, max_len=16)
             for s in samples:
-                s.validate(slot_length=4)
+                s.validate()
+                assert all(slot.length == 4 for slot in s.image_slots)
             decoded = "".join(tok.decode(s.tokens[s.modality_mask == TEXT]) for s in samples)
             assert decoded == text
             assert sum(len(s.image_slots) for s in samples) == n_img
@@ -97,7 +98,8 @@ class TestPackDocument:
             ImageSegment("b"), TextSegment("y" * 10)])
         samples = pack_document(doc, tok, slot_length=6, max_len=12)
         for s in samples:
-            s.validate(slot_length=6)
+            s.validate()
+            assert all(slot.length == 6 for slot in s.image_slots)
 
     def test_slot_exceeding_max_len_errors(self, tok):
         doc = InterleavedDocument("d", [ImageSegment("a"), TextSegment("t")])
@@ -137,7 +139,8 @@ class TestPackSft:
         s = pack_sft(("img", "what? ", "y"), tok, 4)
         assert len(s.image_slots) == 1
         assert int(s.loss_mask.sum()) == 2
-        s.validate(slot_length=4)
+        s.validate()
+        assert s.image_slots[0].length == 4
 
     def test_loss_never_on_image_positions_fuzz(self, tok):
         rng = np.random.default_rng(99)
@@ -147,7 +150,8 @@ class TestPackSft:
             answer = "".join(chr(97 + c) for c in rng.integers(0, 26, size=rng.integers(1, 10)))
             s = pack_sft((f"i{trial}" if has_image else None, prompt, answer), tok, 4)
             assert not np.any((s.loss_mask == 1) & (s.modality_mask == IMAGE))
-            s.validate(slot_length=4)
+            s.validate()
+            assert all(slot.length == 4 for slot in s.image_slots)
 
     def test_empty_prompt_rejected(self, tok):
         with pytest.raises(ValueError):
@@ -167,7 +171,7 @@ class TestAppendText:
         assert out.image_slots == base.image_slots
         assert out.image_slots is not base.image_slots
         assert out.stage_tag == base.stage_tag
-        out.validate(slot_length=4)
+        out.validate()
 
 
 def random_samples(rng, n, tok):
@@ -204,19 +208,19 @@ class TestShardIO:
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with pytest.raises(ShardFormatError, match="byte"):
-            list(read_shard(path))
+            list(read_shard(path, tok.vocab_hash(), config_hash(16, 8, 1)))
 
     def test_vocab_hash_mismatch_refused(self, tmp_path, tok):
         path = tmp_path / "x.shard"
         write_shard([], path, tok.vocab_hash(), config_hash(16, 8, 1))
         with pytest.raises(ShardFormatError, match="vocab"):
-            list(read_shard(path, vocab_hash=b"\x00" * 32))
+            list(read_shard(path, b"\x00" * 32, config_hash(16, 8, 1)))
 
     def test_cfg_hash_mismatch_refused(self, tmp_path, tok):
         path = tmp_path / "x.shard"
         write_shard([], path, tok.vocab_hash(), config_hash(16, 8, 1))
         with pytest.raises(ShardFormatError, match="config"):
-            list(read_shard(path, cfg_hash=config_hash(16, 8, 2)))
+            list(read_shard(path, tok.vocab_hash(), config_hash(16, 8, 2)))
 
     # a bad sample length, stage tag and slot are refused through `diag align`
     # in test_cli.py
@@ -240,13 +244,20 @@ class TestShardIO:
             data += b"\x00\x00"
         path.write_bytes(bytes(data))
         with pytest.raises(ShardFormatError, match=message):
-            list(read_shard(path))
+            list(read_shard(path, tok.vocab_hash(), config_hash(16, 8, 1)))
 
-    def test_not_a_shard(self, tmp_path):
+    def test_hashes_are_required(self, tmp_path, tok):
+        path = tmp_path / "x.shard"
+        write_shard([], path, tok.vocab_hash(), config_hash(16, 8, 1))
+        for hashes in ((), (tok.vocab_hash(),)):
+            with pytest.raises(TypeError):
+                read_shard(path, *hashes)
+
+    def test_not_a_shard(self, tmp_path, tok):
         path = tmp_path / "x.shard"
         path.write_bytes(b"definitely not a shard")
         with pytest.raises(ShardFormatError):
-            list(read_shard(path))
+            list(read_shard(path, tok.vocab_hash(), config_hash(16, 8, 1)))
 
 
 class TestPixels:

@@ -86,7 +86,7 @@ class TestFreezePolicy:
     def test_frozen_groups_have_no_optimizer_moments(self):
         model = Model(small_cfg())
         opt = AdamW(model, PROJECTOR_ONLY, lr=1e-3)
-        assert all(name.startswith("projector.") for name in opt.m)
+        assert list(opt.m_buffers) == list(opt.v_buffers) == ["projector"]
 
     def test_zero_lr_changes_nothing(self, tok, fixture_docs):
         cfg = small_cfg()
@@ -119,7 +119,8 @@ class TestAdamW:
     def test_in_place_step_matches_reference(self):
         model = Model(small_cfg())
         opt = AdamW(model, ALL_TRAINABLE, 1e-3)
-        names = list(opt.m)
+        opt_m, opt_v = (Model.views(model.cfg, b) for b in (opt.m_buffers, opt.v_buffers))
+        names = list(opt_m)
         params = {n: model.params[n].copy() for n in names}
         m = {n: np.zeros_like(params[n]) for n in names}
         v = {n: np.zeros_like(params[n]) for n in names}
@@ -135,17 +136,21 @@ class TestAdamW:
             for n in names:
                 assert np.array_equal(grads[n], given[n]), n
                 assert np.array_equal(model.params[n], params[n]), n
-                assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n]), n
+                assert np.array_equal(opt_m[n], m[n]) and np.array_equal(opt_v[n], v[n]), n
         assert clipped == [False, True, False, True]
 
 
     def test_moments_are_views_into_group_buffers(self):
         model = Model(small_cfg())
         opt = AdamW(model, ALL_TRAINABLE, 1e-3)
-        for name in opt.m:
-            assert opt.m[name].shape == model.params[name].shape
-            assert np.shares_memory(opt.m[name], opt.m_buffers[Model.group_of(name)]), name
-            assert np.shares_memory(opt.v[name], opt.v_buffers[Model.group_of(name)]), name
+        for moments in (opt.m_buffers, opt.v_buffers):
+            assert set(moments) == ALL_TRAINABLE.trainable
+            for group, buf in moments.items():
+                assert buf.shape == model.buffers[group].shape
+                assert not np.shares_memory(buf, model.buffers[group]), group
+            for name, view in Model.views(model.cfg, moments).items():
+                assert view.shape == model.params[name].shape
+                assert np.shares_memory(view, moments[Model.group_of(name)]), name
 
     def test_replaced_trainable_parameter_rejected(self):
         model = Model(small_cfg())
@@ -310,6 +315,22 @@ class TestRunRecipe:
             tags = {s.stage_tag for _ in range(2) for s in next(batches)}
             expected = {"sft"} if stage.name == "sft" else {"pretrain"}
             assert tags == expected
+
+    def test_sft_demos_derive_from_pairs_without_touching_corpora(self, tok, recipe_corpora):
+        from vlmforge.trainer import CAPTION_PROMPT, stage_batches
+        cfg = small_cfg()
+        corpora = RecipeCorpora(list(recipe_corpora.interleaved), list(recipe_corpora.pairs))
+        before = dict(vars(corpora))
+        stage = StageSpec("sft", ALL_TRAINABLE, steps=2, lr=1e-3, batch_size=24,
+                          text_only_fraction=0.5)
+        batch = next(stage_batches(stage, corpora, tok, cfg, cfg.max_positions, 0))
+        assert vars(corpora) == before
+        visual = {pack_sft((p.image_id, CAPTION_PROMPT, p.caption), tok,
+                           cfg.slot_length).tokens.tobytes() for p in corpora.pairs}
+        text = {pack_sft((None, "Repeat after me: " + p.caption + " -> ", p.caption), tok,
+                         cfg.slot_length).tokens.tobytes() for p in corpora.pairs}
+        kinds = [(s.tokens.tobytes() in visual, s.tokens.tobytes() in text) for s in batch]
+        assert {(True, False), (False, True)} == set(kinds)
 
 
 class TestCompareLossCurves:
