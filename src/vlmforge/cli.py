@@ -117,6 +117,8 @@ def cmd_corpus_reformat(args) -> int:
 
 
 def cmd_corpus_topk(args) -> int:
+    if args.k < 0:
+        raise VlmforgeError(f"-k must be at least 0, not {args.k}")
     pairs = corpus_mod.parse_corpus(args.input, "pairs-jsonl", strict=args.strict)
     kept = corpus_mod.subsample_topk(pairs, args.k)
     _write_jsonl(kept, args.output, corpus_mod.pair_to_json)
@@ -313,6 +315,8 @@ def cmd_train_compare_loss(args) -> int:
 
 
 def cmd_diag_align(args) -> int:
+    if args.max_samples < 1:
+        raise VlmforgeError(f"--max-samples must be at least 1, not {args.max_samples}")
     model = Model.load_checkpoint(args.ckpt)
     tok = ByteTokenizer()
     cfg_hash = packing.config_hash(model.cfg.resolution, model.cfg.patch,

@@ -126,10 +126,11 @@ def score_item(
     """Return (prediction, correct bit) for one packed query context.
 
     Either metric encodes the item's images once and decodes the context
-    once, then continues it from the model's KV cache. Exact match generates
-    at most MAX_NEW_TOKENS tokens, fewer when the context leaves less room in
-    `max_positions`. Candidate ranking extends the context by each candidate
-    in turn, rewinding the cache between them.
+    once. Exact match then generates from the model's KV cache, at most
+    MAX_NEW_TOKENS tokens, fewer when the context leaves less room in
+    `max_positions`. Candidate ranking scores every candidate in the
+    context's own decoder pass, each one continuing the context without
+    attending over another.
     """
     if metric == "exact-match":
         room = model.cfg.max_positions - len(packed)

@@ -12,6 +12,7 @@ ablations rely on.
 from __future__ import annotations
 
 import json
+import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,8 @@ class FixtureSpec:
             raise VlmforgeError("n_docs must be positive, n_pairs non-negative")
         if self.images_per_doc <= 0:
             raise VlmforgeError("images_per_doc must be positive")
+        if not math.isfinite(self.tokens_per_image):
+            raise VlmforgeError(f"tokens_per_image must be finite, not {self.tokens_per_image}")
         if self.tokens_per_image < 1:
             raise VlmforgeError("tokens_per_image target below 1 is unreachable")
         if min(self.pair_caption_lengths) < TOPIC_LENGTH:
@@ -104,7 +107,9 @@ def make_pairs(spec: FixtureSpec) -> list[PairSample]:
 
 
 def fixture_gen(spec: FixtureSpec, out_dir) -> dict[str, Path]:
-    """Write both fixture corpora; byte-identical for identical (spec, seed)."""
+    """Write both fixture corpora; byte-identical for identical (spec, seed).
+    A spec that fails validation writes nothing."""
+    spec.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     interleaved_path = out_dir / "interleaved.jsonl"

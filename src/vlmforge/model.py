@@ -22,15 +22,18 @@ need: frozen groups get no gradient buffers, no weight-gradient matmuls and
 no reductions, and it stops at the projector's input while the vision
 encoder is frozen.
 
-Decoding a continuation of one sequence (greedy generation, candidate
-ranking) runs the same blocks with a `KVCache`. The prefill is the batched
-pass at B=1 over the prefix, its images encoded once, and every causal block
-also writes its keys and values into preallocated (heads, max_positions, dh)
-buffers. An extension feeds only the new text rows through the blocks: they
-take positions from the cache's length P on, write their keys and values at
-P.. and attend over [:P+n]. Setting the length back rewinds the cache to a
-shorter prefix without copying anything. `forward` and `sequence_loss`
-re-run the whole sequence and are the uncached reference for both.
+Greedy generation decodes a continuation of one sequence through the same
+blocks with a `KVCache`. The prefill is the batched pass at B=1 over the
+prefix, its images encoded once, and every causal block also writes its
+keys and values into preallocated (heads, max_positions, dh) buffers. An
+extension feeds only the new text rows through the blocks: they take
+positions from the cache's length P on, write their keys and values at P..
+and attend over [:P+n]. Candidate ranking continues one prefix by every
+candidate in a single pass: the prefix is its first sequence, decoded as a
+prefill, and each group of equal-length candidates attends as one
+(B_g, H, L, P+L) block over the prefix's cached keys and values and its own
+rows, never over another candidate's. `forward` and `sequence_loss` re-run
+the whole sequence and are the uncached reference for both.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
@@ -278,7 +281,15 @@ class _Layout:
     gathers the group's flat rows in order, so `a[rows]` reshapes to its
     (B_g, L, F) view. `rows` is None when the group is the whole batch and
     the view is a plain reshape, as for any batch of one length.
+
+    A layout from `continuing` holds a prefix and sequences that each
+    continue it: groups[0] is the prefix, and every later group's sequences
+    take the positions from `prefix` on. `prefix` is 0 in any other layout.
+    There a group of one sequence has a slice for `rows`, so its view of the
+    flat rows is not a copy.
     """
+
+    prefix = 0
 
     def __init__(self, lengths):
         lengths = np.asarray(lengths)
@@ -292,13 +303,30 @@ class _Layout:
             first = starts[lengths == L]
             self.groups.append((int(L), len(first), (first[:, None] + np.arange(L)).ravel()))
 
+    @classmethod
+    def continuing(cls, prefix: int, lengths) -> "_Layout":
+        """The prefix's `prefix` rows, then sequences of `lengths`, each one
+        continuing the prefix; the flat rows keep that order."""
+        layout = cls.__new__(cls)
+        layout.prefix, layout.N = prefix, prefix + sum(lengths)
+        layout.groups = [(prefix, 1, slice(0, prefix) if lengths else None)]
+        starts = {}  # length -> the first flat row of each sequence of that length
+        for start, L in zip(itertools.accumulate(lengths, initial=prefix), lengths):
+            starts.setdefault(L, []).append(start)
+        for L, first in sorted(starts.items()):
+            rows = (slice(first[0], first[0] + L) if len(first) == 1
+                    else (np.array(first)[:, None] + np.arange(L)).ravel())
+            layout.groups.append((L, len(first), rows))
+        return layout
+
     def add_positions(self, x, table, offset=0):
         """x += table[offset + position of each row], in place."""
-        for L, B, rows in self.groups:
+        for i, (L, B, rows) in enumerate(self.groups):
+            start = offset + (self.prefix if i else 0)
             if rows is None:
-                x.reshape(B, L, -1)[...] += table[offset : offset + L]
+                x.reshape(B, L, -1)[...] += table[start : start + L]
             else:
-                x[rows] += np.tile(table[offset : offset + L], (B, 1))
+                x[rows] += np.tile(table[start : start + L], (B, 1))
 
     def sum_positions(self, dx, out):
         """out[position] += the sum of dx over every row at that position."""
@@ -392,9 +420,11 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
     """Multi-head attention over the flat rows of `layout`.
 
     Each sequence attends within itself only. `past` is (key buffer, value
-    buffer, P) of one sequence whose first P positions are cached: the rows,
-    positions P.., write their keys and values there and attend over
-    [:P + rows].
+    buffer, P) of one sequence whose first P positions are cached: the first
+    group's one sequence, positions P.., writes its keys and values there
+    and attends over [:P + rows]. In a `_Layout.continuing` layout every
+    later group's sequences continue it in turn: they attend over the cached
+    [:P + prefix] and their own rows, and stay out of the cache.
     """
     D = x.shape[1]
     dh = D // heads
@@ -402,15 +432,24 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
     qkv = x @ w + b
     o = None if len(layout.groups) == 1 else np.empty_like(x)
     kept = []  # per group: (qh, kh, vh, attn)
-    for L, B, rows in layout.groups:
+    for i, (L, B, rows) in enumerate(layout.groups):
         part = qkv if rows is None else qkv[rows]
         qh, kh, vh = part.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
         P, M = 0, L  # cached positions, and a causal mask size covering P + L
         if past is not None:
             kbuf, vbuf, P = past
-            kbuf[:, P : P + L] = kh[0]
-            vbuf[:, P : P + L] = vh[0]
-            kh, vh, M = kbuf[None, :, : P + L], vbuf[None, :, : P + L], kbuf.shape[1]
+            M = kbuf.shape[1]
+            if i == 0:
+                kbuf[:, P : P + L] = kh[0]
+                vbuf[:, P : P + L] = vh[0]
+                kh, vh = kbuf[None, :, : P + L], vbuf[None, :, : P + L]
+            else:
+                P += layout.prefix
+                keys = np.empty((B, heads, P + L, dh), dtype=kh.dtype)
+                values = np.empty_like(keys)
+                keys[:, :, :P], keys[:, :, P:] = kbuf[:, :P], kh
+                values[:, :, :P], values[:, :, P:] = vbuf[:, :P], vh
+                kh, vh = keys, values
         attn = qh @ kh.transpose(0, 1, 3, 2)
         attn /= math.sqrt(dh)
         if causal:
@@ -525,8 +564,7 @@ class _Pass:
 class KVCache:
     """Every decoder block's keys and values for one sequence's first `length`
     positions, in buffers preallocated to max_positions. Decoding n more rows
-    writes positions length.. and advances `length` by n; setting `length`
-    back rewinds to a shorter prefix."""
+    writes positions length.. and advances `length` by n."""
 
     def __init__(self, cfg: ModelConfig):
         shape = (cfg.llm_layers, cfg.heads, cfg.max_positions, cfg.model_dim // cfg.heads)
@@ -762,14 +800,16 @@ class Model:
         """Embed, merge the images in, and run the decoder over a whole batch.
 
         A training pass keeps what backward needs; any other pass keeps the
-        hidden states instead. Given an empty KVCache, the pass over its one
-        sample is that sample's prefill.
+        hidden states instead. Given an empty KVCache, the pass is the first
+        sample's prefill, and every later sample continues that one, as a
+        `_Layout.continuing` layout lays them out.
         """
         pixels = pixels or {}
         for sample in samples:
             self._check_sample(sample, pixels)
         cfg, p = self.cfg, self.params
-        layout = _Layout([len(s) for s in samples])
+        lengths = [len(s) for s in samples]
+        layout = _Layout(lengths) if kv is None else _Layout.continuing(lengths[0], lengths[1:])
         tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64)
         text = np.concatenate([s.modality_mask for s in samples]) == TEXT
         x = p["embed.tok"][tokens]
@@ -803,9 +843,10 @@ class Model:
         """The decoder blocks and final LayerNorm over embedded rows.
 
         Returns the final LayerNorm's output and cache, and the block caches
-        (training) or the hidden states (otherwise). With a KVCache the rows
-        are one sequence continuing it from its length, which then advances
-        past them.
+        (training) or the hidden states (otherwise). With a KVCache the first
+        group's one sequence continues it from its length, which then
+        advances past it; a continuing layout's later sequences continue
+        that one in turn and stay out of the cache.
         """
         cfg, p = self.cfg, self.params
         kept = [] if train else [x]  # block caches or hidden states
@@ -813,8 +854,9 @@ class Model:
             past = None if kv is None else (kv.k[i], kv.v[i], kv.length)
             x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout, past)
             kept.append(cache if train else x)
+            del cache  # outside training, freed before the next block runs
         if kv is not None:
-            kv.length += layout.N
+            kv.length += layout.groups[0][0]
         normed, final_ln = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
         return normed, final_ln, kept
 
@@ -986,19 +1028,34 @@ class Model:
         list of text token ids) after `prefix`; equal to `sequence_loss` of
         `append_text(prefix, ids, loss=True)`.
 
-        The prefix is decoded once: its last logits score every first token,
-        each continuation extends the cache, which is rewound to the prefix
-        after each one.
+        One decoder pass scores them all: the prefix is its first sequence,
+        and each continuation continues the prefix at positions len(prefix)..,
+        attending over the prefix and itself but never over another
+        continuation. The head runs on the prefix's last row, which predicts
+        every first token, and on the continuation rows.
         """
-        if not all(len(ids) for ids in continuations):
-            raise VlmforgeError("empty continuation")
-        kv, first = self.prefill(prefix, pixels)
-        losses = np.empty(len(continuations))
-        for c, ids in enumerate(continuations):
-            logits = np.vstack([first, self.extend(kv, ids)[:-1]])
-            kv.length = len(prefix)
-            losses[c] = _xent_(logits, np.asarray(ids, dtype=np.int64)).mean()
-        return losses
+        cfg, P = self.cfg, len(prefix)
+        ids = [np.asarray(c, dtype=np.int64) for c in continuations]
+        if not ids or not all(len(c) for c in ids):
+            raise VlmforgeError("no continuation, or an empty one")
+        n = np.array([len(c) for c in ids])
+        if P + n.max() > cfg.max_positions:
+            raise ConfigMismatchError(
+                f"sample length {P + n.max()} exceeds max_positions {cfg.max_positions}"
+            )
+        # a continuation's last token predicts nothing, but goes in with the
+        # rest: its id is checked with theirs, and the continuation's rows
+        # attend over as many positions as in the appended sequence
+        fed = [PackedSample(c, np.full(len(c), TEXT, dtype=np.uint8),
+                            np.zeros(len(c), dtype=np.uint8)) for c in ids]
+        fw = self._forward([prefix] + fed, pixels, train=False, kv=KVCache(cfg))
+        # target j of continuation c is predicted by the prefix's last row
+        # (j = 0) or by the continuation's row j - 1
+        rows = P - 1 + np.arange(n.sum())
+        rows[np.cumsum(n) - n] = P - 1
+        logits = fw.normed[rows] @ self.params["head.w"] + self.params["head.b"]
+        owner = np.repeat(np.arange(len(n)), n)
+        return np.bincount(owner, _xent_(logits, np.concatenate(ids)), minlength=len(n)) / n
 
     def generate(self, prefix: PackedSample, pixels=None, max_new: int = 32) -> list[int]:
         """Greedy continuation; stops at EOS (id vocab-specific: 257).

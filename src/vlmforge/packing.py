@@ -10,10 +10,11 @@ run and slot, then text bytes) and one finisher derives the modality mask
 from the slots and puts loss on the TEXT positions from a start index: 1 for
 documents (`pack_document`), the answer for SFT demos (`pack_sft`), none for
 in-context prompts (`pack_context`). `append_text` extends a sample with text
-tokens; candidate ranking and greedy generation decode such continuations
-from the model's KV cache instead, and the tests score `append_text` samples
-with the uncached model as their reference. Shards store the same layout and
-are checked against it as they are read.
+tokens. Candidate ranking and greedy generation build no such sample: the
+model continues the context itself, every candidate in the context's own
+decoder pass and each generated token from a KV cache. The tests score
+`append_text` samples with the uncached model as their reference. Shards
+store the same layout and are checked against it as they are read.
 """
 
 from __future__ import annotations
@@ -133,9 +134,10 @@ def append_text(sample: PackedSample, ids, loss: bool) -> PackedSample:
     """`sample` followed by the TEXT tokens `ids`, its slots unchanged. With
     `loss` the appended tokens alone carry loss; without, no position does.
 
-    Decoding no longer goes through it: scored with `Model.sequence_loss` or
-    `Model.forward`, it is the reference that `Model.continuation_losses` and
-    `Model.generate` are tested against."""
+    Neither ranking nor generation goes through it: scored with
+    `Model.sequence_loss` or `Model.forward`, it is the uncached reference
+    that `Model.continuation_losses` and `Model.generate` are tested
+    against."""
     tokens = np.concatenate([sample.tokens, np.asarray(ids, dtype=np.uint32)])
     modality = np.concatenate([sample.modality_mask, np.full(len(ids), TEXT, dtype=np.uint8)])
     loss_mask = np.zeros(len(tokens), dtype=np.uint8)

@@ -413,6 +413,33 @@ class TestBadCountsExit2:
         assert "--eval-items 50" in err and "40 caption pairs" in err
         assert not (tmp_path / "o").exists()
 
+    def test_topk_negative_k(self, corpora, tmp_path, capsys):
+        out = tmp_path / "top.jsonl"
+        rc = main(["corpus", "topk", str(corpora["pairs"]), str(out), "-k", "-1"])
+        assert rc == 2
+        assert "-k must be at least 0, not -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fixture_non_finite_tokens_per_image(self, tmp_path, capsys, value):
+        out_dir = tmp_path / "fix"
+        rc = main(["fixture", "--out-dir", str(out_dir), "--tokens-per-image", value])
+        assert rc == 2
+        assert f"tokens_per_image must be finite, not {value}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_align_max_samples_below_one(self, corpora, tmp_path, capsys, samples):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        out = tmp_path / "a.csv"
+        rc = main(["diag", "align", "--ckpt", str(ckpt), "--shard",
+                   str(TestShards.pack(corpora, tmp_path)), "--out", str(out),
+                   "--max-samples", samples])
+        assert rc == 2
+        assert f"--max-samples must be at least 1, not {samples}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_k(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         Model(ModelConfig()).save_checkpoint(ckpt)

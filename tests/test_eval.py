@@ -255,8 +255,8 @@ class TestBatchedScoring:
         batched = model.sequence_loss(scored, pixels)
         single = [model.sequence_loss(s, pixels) for s in scored]
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
-        # the cached scorer decodes the context once and rewinds its cache
-        # between candidates, so their order cannot change any loss
+        # the scorer runs the context and every candidate as one pass, in
+        # which no candidate attends over another, so order moves no bit
         ids = [tok.encode(c) for c in candidates]
         cached = model.continuation_losses(packed, ids, pixels)
         np.testing.assert_allclose(cached, single, rtol=1e-12, atol=0)
@@ -264,6 +264,23 @@ class TestBatchedScoring:
         ranked = EvalItem(item.item_id, item.prompt, "red", item.image_id, candidates)
         prediction, _ = score_item(model, packed, pixels, "candidate-rank", ranked, tok)
         assert prediction == candidates[int(np.argmin(single))]
+
+    def test_zero_shot_text_only_context(self, tok, monkeypatch):
+        from test_model import TestContinuationLosses, one_pass_losses
+
+        model = Model(toy_cfg())
+        candidates = list(TestContinuationLosses.CANDIDATES)
+        item = EvalItem("q", "color: ", "red", candidates=candidates)
+        packed = build_kshot(item, 0, [], 0, tok, model.cfg.slot_length,
+                             model.cfg.max_positions)
+        assert not packed.image_slots
+        ids = [tok.encode(c) for c in candidates]
+        losses = one_pass_losses(monkeypatch, model, packed, ids, {})
+        want = TestContinuationLosses.reference(model, packed, ids, {})
+        np.testing.assert_allclose(losses, want, rtol=1e-12, atol=0)
+        assert np.array_equal(model.continuation_losses(packed, ids[::-1], {})[::-1], losses)
+        prediction, _ = score_item(model, packed, {}, "candidate-rank", item, tok)
+        assert prediction == candidates[int(np.argmin(want))]
 
     def test_candidate_past_max_positions_rejected(self, tok):
         model = Model(toy_cfg())

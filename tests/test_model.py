@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+from vlmforge import model as model_module
 from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
 from vlmforge.errors import ConfigMismatchError, VlmforgeError
 from vlmforge.model import (
@@ -23,6 +24,7 @@ from vlmforge.model import (
     _Layout,
     _ln_bwd,
     _ln_fwd,
+    _xent_,
 )
 from vlmforge.packing import (
     IMAGE,
@@ -769,6 +771,96 @@ class TestKVCache:
         want = self.reference_generate(model, prefix, pixels, max_new)
         assert 0 < len(want) < max_new
         assert model.generate(prefix, pixels, max_new) == want
+
+
+def one_pass_losses(monkeypatch, model, prefix, ids, pixels):
+    """`continuation_losses`, checked to run each decoder block once: the
+    prefix and every continuation share one decoder pass."""
+    calls, block_fwd = [], model_module._block_fwd
+
+    def counting(x, p, name, *args):
+        calls.append(name)
+        return block_fwd(x, p, name, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "_block_fwd", counting)
+        losses = model.continuation_losses(prefix, ids, pixels)
+    decoder = [name for name in calls if name.startswith("llm.")]
+    assert decoder == [f"llm.block{i}" for i in range(model.cfg.llm_layers)]
+    return losses
+
+
+class TestContinuationLosses:
+    """Candidate ranking scores every continuation in one decoder pass, equal
+    to the uncached reference: `sequence_loss` of the appended sequence."""
+
+    # a 1-token candidate, equal-length duplicates and a long one
+    CANDIDATES = ("red", "x", "blue", "gold", "blue", "a longer candidate")
+
+    @staticmethod
+    def reference(model, prefix, ids, pixels):
+        return [model.sequence_loss(append_text(prefix, c, loss=True), pixels) for c in ids]
+
+    def test_five_candidates_take_one_decoder_pass(self, tok, monkeypatch):
+        cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
+        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
+        ids = [tok.encode(c) for c in ("red", "blue", "green", "gold", "grey")]
+        losses = one_pass_losses(monkeypatch, Model(cfg), prefix, ids, pixels)
+        assert losses.shape == (5,)
+
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
+    def test_mixed_lengths_equal_reference_in_any_order(self, tok, monkeypatch, variant):
+        cfg = TestBatchedPath.cfg(variant)
+        model = Model(cfg)
+        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
+        ids = [tok.encode(c) for c in self.CANDIDATES]
+        losses = one_pass_losses(monkeypatch, model, prefix, ids, pixels)
+        np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
+                                   rtol=1e-12, atol=0)
+        # a continuation never attends over another, so order moves no bit
+        assert np.array_equal(model.continuation_losses(prefix, ids[::-1], pixels)[::-1], losses)
+        order = [3, 0, 5, 2, 4, 1]
+        shuffled = model.continuation_losses(prefix, [ids[i] for i in order], pixels)
+        assert np.array_equal(shuffled, losses[order])
+
+    def test_float32_equals_a_cached_decode_per_candidate(self, tok, monkeypatch):
+        """In float32 the reference rounds differently in the prefix rows: a
+        full forward gives their softmax P + n entries, a decode after the
+        prefix P. Each candidate decoded alone after a prefill rounds as the
+        shared pass does."""
+        cfg = dataclasses.replace(TestBatchedPath.cfg(TransformerBlockProjector(2)),
+                                  dtype="float32")
+        model = Model(cfg)
+        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
+        ids = [tok.encode(c) for c in self.CANDIDATES]
+        losses = one_pass_losses(monkeypatch, model, prefix, ids, pixels)
+        cached = []
+        for c in ids:
+            kv, last = model.prefill(prefix, pixels)
+            logits = np.vstack([last, model.extend(kv, c)[:-1]])
+            cached.append(sum(float(ce) for ce in _xent_(logits, np.asarray(c))) / len(c))
+        np.testing.assert_allclose(losses, cached, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
+                                   rtol=1e-6, atol=0)
+        assert np.array_equal(model.continuation_losses(prefix, ids[::-1], pixels)[::-1], losses)
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_out_of_vocabulary_id_rejected_before_any_block(self, tok, monkeypatch, where):
+        cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
+        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
+        bad = tok.encode("blue")
+        bad[where] = cfg.vocab_size
+        calls = []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        with pytest.raises(ConfigMismatchError, match="vocabulary"):
+            Model(cfg).continuation_losses(prefix, [tok.encode("red"), bad], pixels)
+        assert calls == []
+
+    def test_no_continuation_rejected(self, tok):
+        cfg = TestBatchedPath.cfg(Linear())
+        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
+        with pytest.raises(VlmforgeError, match="no continuation"):
+            Model(cfg).continuation_losses(prefix, [], pixels)
 
 
 class TestFreedMemoryStaysInHeap:
