@@ -53,6 +53,24 @@ def chamfer_cosine(A, B) -> float:
     return 0.5 * (a_to_b + b_to_a)
 
 
+def _layer_chamfer(hidden: np.ndarray, visual, textual) -> np.ndarray:
+    """`chamfer_cosine(layer[visual], layer[textual])` for every layer of a
+    (layers, L, D) stack, bit for bit, with each row normalised once and
+    every layer's similarities taken as one batched matmul. A zero vector
+    raises the error `chamfer_cosine` would raise first."""
+    hidden = hidden.astype(np.float64, copy=False)
+    norms = np.linalg.norm(hidden, axis=-1)
+    if not norms.all():
+        for layer in norms:
+            for label, rows in (("A", layer[visual]), ("B", layer[textual])):
+                zero = np.flatnonzero(rows == 0.0)
+                if zero.size:
+                    raise VlmforgeError(f"{label}: zero vector at index {int(zero[0])}")
+    unit = hidden / norms[..., None]
+    sims = unit[:, visual] @ unit[:, textual].transpose(0, 2, 1)
+    return 0.5 * (sims.max(axis=2).mean(axis=1) + sims.max(axis=1).mean(axis=1))
+
+
 def alignment_profile(
     model,
     samples: list[PackedSample],
@@ -75,8 +93,7 @@ def alignment_profile(
         raise VlmforgeError("alignment_profile: no sample carries both modalities")
     sums = 0.0
     for (visual, textual), trace in zip(masks, model.forward(used, pixels)):
-        sums += np.array([chamfer_cosine(layer[visual], layer[textual])
-                          for layer in trace.hidden])
+        sums += _layer_chamfer(np.stack(trace.hidden), visual, textual)
     return AlignmentProfile(
         per_layer=[float(v / len(used)) for v in sums],
         sample_count=len(used),

@@ -23,17 +23,23 @@ no reductions, and it stops at the projector's input while the vision
 encoder is frozen.
 
 Greedy generation decodes a continuation of one sequence through the same
-blocks with a `KVCache`. The prefill is the batched pass at B=1 over the
-prefix, its images encoded once, and every causal block also writes its
-keys and values into preallocated (heads, max_positions, dh) buffers. An
-extension feeds only the new text rows through the blocks: they take
-positions from the cache's length P on, write their keys and values at P..
-and attend over [:P+n]. Candidate ranking continues one prefix by every
-candidate in a single pass: the prefix is its first sequence, decoded as a
-prefill, and each group of equal-length candidates attends as one
-(B_g, H, L, P+L) block over the prefix's cached keys and values and its own
-rows, never over another candidate's. `forward` and `sequence_loss` re-run
-the whole sequence and are the uncached reference for both.
+blocks with a `KVCache`. The cache owns what does not change between
+tokens: each decoder block's QKV weights, fused once from the parameters
+it was made with, and the keys and values they produced, in preallocated
+(heads, max_positions, dh) buffers. The prefill is the batched pass at B=1
+over the prefix, its images encoded once, and every causal block also
+writes its keys and values there. An extension feeds only the new text
+rows through the blocks: they take positions from the cache's length P on,
+write their keys and values at P.. and attend over [:P+n]. `generate`
+checks its prefix and max_new once, then steps one row at a time: each
+step reuses one shared one-row layout and adds no causal mask, since a
+row at the cache's end sees every cached position. Candidate ranking
+continues one prefix by every candidate in a single pass: the prefix is its
+first sequence, decoded as a prefill, and each group of equal-length
+candidates attends as one (B_g, H, L, P+L) block over the prefix's cached
+keys and values and its own rows, never over another candidate's.
+`forward` and `sequence_loss` re-run the whole sequence and are the
+uncached reference for both.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
@@ -319,6 +325,13 @@ class _Layout:
             layout.groups.append((L, len(first), rows))
         return layout
 
+    @classmethod
+    @functools.lru_cache(maxsize=256)
+    def single(cls, L: int) -> "_Layout":
+        """The layout of one sequence of length L, built once per L and
+        shared: nothing changes a layout once it is built."""
+        return cls([L])
+
     def add_positions(self, x, table, offset=0):
         """x += table[offset + position of each row], in place."""
         for i, (L, B, rows) in enumerate(self.groups):
@@ -420,15 +433,20 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
     """Multi-head attention over the flat rows of `layout`.
 
     Each sequence attends within itself only. `past` is (key buffer, value
-    buffer, P) of one sequence whose first P positions are cached: the first
-    group's one sequence, positions P.., writes its keys and values there
-    and attends over [:P + rows]. In a `_Layout.continuing` layout every
-    later group's sequences continue it in turn: they attend over the cached
-    [:P + prefix] and their own rows, and stay out of the cache.
+    buffer, P, fused QKV weights) of one sequence whose first P positions
+    are cached: the first group's one sequence, positions P.., writes its
+    keys and values there and attends over [:P + rows]. In a
+    `_Layout.continuing` layout every later group's sequences continue it in
+    turn: they attend over the cached [:P + prefix] and their own rows, and
+    stay out of the cache. Without `past` the weights are fused here, and
+    the cache keeps them for `_attn_bwd`.
     """
     D = x.shape[1]
     dh = D // heads
-    w, b = _qkv_weights(p, prefix)
+    if past is None:
+        w, b = _qkv_weights(p, prefix)
+    else:
+        kbuf, vbuf, cached, (w, b) = past
     qkv = x @ w + b
     o = None if len(layout.groups) == 1 else np.empty_like(x)
     kept = []  # per group: (qh, kh, vh, attn)
@@ -437,8 +455,7 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
         qh, kh, vh = part.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
         P, M = 0, L  # cached positions, and a causal mask size covering P + L
         if past is not None:
-            kbuf, vbuf, P = past
-            M = kbuf.shape[1]
+            P, M = cached, kbuf.shape[1]
             if i == 0:
                 kbuf[:, P : P + L] = kh[0]
                 vbuf[:, P : P + L] = vh[0]
@@ -452,7 +469,10 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
                 kh, vh = keys, values
         attn = qh @ kh.transpose(0, 1, 3, 2)
         attn /= math.sqrt(dh)
-        if causal:
+        # a one-row sequence sees every position before it, so its mask row
+        # is all zeros; adding it could only turn a -0.0 score into +0.0,
+        # which the softmax maps to the same bits
+        if causal and L > 1:
             attn += _causal_bias(M, attn.dtype)[P : P + L, : P + L]
         _softmax_(attn)
         heads_out = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * L, D)
@@ -462,11 +482,11 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
             o[rows] = heads_out
         kept.append((qh, kh, vh, attn))
     out = o @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
-    return out, (x, kept, o, layout)
+    return out, (x, kept, o, layout, w)
 
 
 def _attn_bwd(dout, cache, p, g, prefix, heads):
-    x, kept, o, layout = cache
+    x, kept, o, layout, w = cache
     N, D = x.shape
     dh = D // heads
     do = _linear_bwd(dout, o, p[f"{prefix}.wo"], g, f"{prefix}.wo", f"{prefix}.bo")
@@ -489,7 +509,6 @@ def _attn_bwd(dout, cache, p, g, prefix, heads):
         del dscores
         if rows is not None:
             dqkv[rows] = part
-    w, _ = _qkv_weights(p, prefix)
     if g is not None:
         gw = x.T @ dqkv
         gb = dqkv.sum(axis=0)
@@ -564,12 +583,20 @@ class _Pass:
 class KVCache:
     """Every decoder block's keys and values for one sequence's first `length`
     positions, in buffers preallocated to max_positions. Decoding n more rows
-    writes positions length.. and advances `length` by n."""
+    writes positions length.. and advances `length` by n.
 
-    def __init__(self, cfg: ModelConfig):
+    The cache belongs to the parameters of the model it was made from: it
+    holds each decoder block's QKV weights, fused once from them, and the
+    keys and values those weights produced. A cache made before the
+    parameters change decodes with the old ones; make a new one instead."""
+
+    def __init__(self, model: Model):
+        cfg = model.cfg
         shape = (cfg.llm_layers, cfg.heads, cfg.max_positions, cfg.model_dim // cfg.heads)
         self.k = np.empty(shape, dtype=cfg.np_dtype)
         self.v = np.empty(shape, dtype=cfg.np_dtype)
+        self.qkv = [_qkv_weights(model.params, f"llm.block{i}.attn")
+                    for i in range(cfg.llm_layers)]
         self.length = 0
 
 
@@ -779,14 +806,19 @@ class Model:
 
     # -- batched forward
 
+    def _check_ids(self, ids: np.ndarray):
+        """Every id in [0, vocab_size): a negative one would index embed.tok
+        from its end."""
+        if len(ids) and (ids.min() < 0 or ids.max() >= self.cfg.vocab_size):
+            raise ConfigMismatchError("token id out of vocabulary range")
+
     def _check_sample(self, sample: PackedSample, pixels: dict[str, np.ndarray]):
         cfg = self.cfg
         if len(sample) > cfg.max_positions:
             raise ConfigMismatchError(
                 f"sample length {len(sample)} exceeds max_positions {cfg.max_positions}"
             )
-        if sample.tokens.max(initial=0) >= cfg.vocab_size:
-            raise ConfigMismatchError("token id out of vocabulary range")
+        self._check_ids(sample.tokens)
         for slot in sample.image_slots:
             if slot.image_id not in pixels:
                 raise VlmforgeError(f"image slot {slot.image_id!r} is not bound to pixels")
@@ -851,7 +883,7 @@ class Model:
         cfg, p = self.cfg, self.params
         kept = [] if train else [x]  # block caches or hidden states
         for i in range(cfg.llm_layers):
-            past = None if kv is None else (kv.k[i], kv.v[i], kv.length)
+            past = None if kv is None else (kv.k[i], kv.v[i], kv.length, kv.qkv[i])
             x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout, past)
             kept.append(cache if train else x)
             del cache  # outside training, freed before the next block runs
@@ -1002,22 +1034,26 @@ class Model:
 
         Returns the cache and the logits of the sample's last position.
         """
-        kv = KVCache(self.cfg)
+        kv = KVCache(self)
         fw = self._forward([sample], pixels, train=False, kv=kv)
         return kv, fw.normed[-1] @ self.params["head.w"] + self.params["head.b"]
 
     def extend(self, kv: KVCache, ids) -> np.ndarray:
         """Decode the text tokens `ids` at positions kv.length.. from the
         cache, which then covers them too; returns their (n, vocab) logits."""
-        cfg, p = self.cfg, self.params
+        cfg = self.cfg
         ids = np.asarray(ids, dtype=np.int64)
         if kv.length + len(ids) > cfg.max_positions:
             raise ConfigMismatchError(
                 f"sample length {kv.length + len(ids)} exceeds max_positions {cfg.max_positions}"
             )
-        if ids.max(initial=0) >= cfg.vocab_size:
-            raise ConfigMismatchError("token id out of vocabulary range")
-        layout = _Layout([len(ids)])
+        self._check_ids(ids)
+        return self._extend(kv, ids)
+
+    def _extend(self, kv: KVCache, ids) -> np.ndarray:
+        """`extend` of ids already checked to be in range and to fit."""
+        p = self.params
+        layout = _Layout.single(len(ids))
         x = p["embed.tok"][ids]
         layout.add_positions(x, p["embed.pos"], kv.length)
         normed, _, _ = self._decode(x, layout, False, kv)
@@ -1048,7 +1084,7 @@ class Model:
         # attend over as many positions as in the appended sequence
         fed = [PackedSample(c, np.full(len(c), TEXT, dtype=np.uint8),
                             np.zeros(len(c), dtype=np.uint8)) for c in ids]
-        fw = self._forward([prefix] + fed, pixels, train=False, kv=KVCache(cfg))
+        fw = self._forward([prefix] + fed, pixels, train=False, kv=KVCache(self))
         # target j of continuation c is predicted by the prefix's last row
         # (j = 0) or by the continuation's row j - 1
         rows = P - 1 + np.arange(n.sum())
@@ -1060,8 +1096,10 @@ class Model:
     def generate(self, prefix: PackedSample, pixels=None, max_new: int = 32) -> list[int]:
         """Greedy continuation; stops at EOS (id vocab-specific: 257).
 
-        The prefix is prefilled once; each new token then extends the cache
-        by one position.
+        The prefix and max_new are checked once, and the prefix is prefilled
+        once. Each new token then extends the cache by one position without
+        `extend`'s checks: it is an argmax over the vocabulary, and the
+        check on max_new made room for it.
         """
         eos = ByteTokenizer().eos
         if len(prefix) + max_new > self.cfg.max_positions:
@@ -1071,8 +1109,8 @@ class Model:
             if step == 0:
                 kv, logits = self.prefill(prefix, pixels)
             else:
-                logits = self.extend(kv, out[-1:])[0]
-            nxt = int(np.argmax(logits))
+                logits = self._extend(kv, out[-1:])[0]
+            nxt = int(logits.argmax())
             if nxt == eos:
                 break
             out.append(nxt)

@@ -150,6 +150,33 @@ class TestAlignmentProfile:
         np.testing.assert_allclose(batched.per_layer, np.mean(singles, axis=0),
                                    rtol=0, atol=1e-12)
 
+    def test_layers_equal_chamfer_cosine_bitwise(self, tiny_model, tok):
+        """The one-pass profile against `chamfer_cosine` layer by layer."""
+        from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
+        from vlmforge.packing import bind_pixels, pack_document
+
+        doc = InterleavedDocument("d", [ImageSegment("i"), TextSegment("some text"),
+                                        ImageSegment("j"), TextSegment("more")])
+        [sample] = pack_document(doc, tok, tiny_model.cfg.slot_length, 64)
+        pixels = bind_pixels([sample], 16)
+        visual, textual = sample.modality_mask == IMAGE, sample.modality_mask == TEXT
+        want = [chamfer_cosine(layer[visual], layer[textual])
+                for layer in tiny_model.forward(sample, pixels).hidden]
+        assert alignment_profile(tiny_model, [sample], pixels).per_layer == want
+
+    @pytest.mark.parametrize("zeros, message", [
+        ([(0, 1)], "A: zero vector at index 1"),
+        ([(1, 4)], "B: zero vector at index 1"),
+        ([(1, 2), (0, 6)], "B: zero vector at index 3"),  # the first layer's comes first
+        ([(0, 3), (0, 2)], "A: zero vector at index 2"),  # and A before B in a layer
+    ])
+    def test_zero_vector_names_set_and_index(self, zeros, message):
+        layers = [np.random.default_rng(5).normal(size=(8, 6)) for _ in range(3)]
+        for layer, row in zeros:
+            layers[layer][row] = 0.0
+        with pytest.raises(VlmforgeError, match=message):
+            alignment_profile(_StubModel(lambda s: layers), [mixed_sample(3, 5)], {})
+
     def test_csv_output(self):
         profile = AlignmentProfile([0.1, 0.2], 4)
         lines = profile.to_csv().strip().split("\n")

@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+from vlmforge import evaluation
 from vlmforge import model as model_module
 from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
 from vlmforge.errors import ConfigMismatchError, VlmforgeError
@@ -646,6 +647,17 @@ class TestBatchedPath:
         for sample, got in zip(batch, losses):
             assert got == pytest.approx(model.sequence_loss(sample, pixels), rel=1e-12)
 
+    def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch):
+        """Backward reuses the QKV weights its forward fused."""
+        cfg = self.cfg(TransformerBlockProjector(2))
+        batch, pixels = self.mixed_batch(tok, cfg)
+        fused, qkv_weights = [], model_module._qkv_weights
+        monkeypatch.setattr(model_module, "_qkv_weights",
+                            lambda p, prefix: (fused.append(prefix), qkv_weights(p, prefix))[1])
+        Model(cfg).loss_and_grads(batch, pixels)  # every group trains, the encoder too
+        assert sorted(fused) == ["llm.block0.attn", "llm.block1.attn", "projector.block.attn",
+                                 "vision.block0.attn"]
+
     def test_float32_gradients(self, tok):
         cfg = dataclasses.replace(self.cfg(TransformerBlockProjector(2)), dtype="float32")
         model = Model(cfg)
@@ -772,6 +784,84 @@ class TestKVCache:
         assert 0 < len(want) < max_new
         assert model.generate(prefix, pixels, max_new) == want
 
+    @staticmethod
+    def four_shot_prefix(tok, cfg):
+        """A 4-shot context: five images, each followed by its text."""
+        items = [evaluation.EvalItem(f"item-{i}", "color: ", ("red", "blue", "gold")[i % 3],
+                                     image_id=f"img-{i}") for i in range(9)]
+        prefix = evaluation.build_kshot(items[0], 4, items[1:], 3, tok, cfg.slot_length,
+                                        cfg.max_positions)
+        assert len(prefix.image_slots) == 5
+        return prefix, {it.image_id: pixels_for(it.image_id, cfg.resolution) for it in items}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_generate_equals_prefill_and_public_extend_loop(self, tok, monkeypatch, dtype):
+        cfg = dataclasses.replace(TestBatchedPath.cfg(TransformerBlockProjector(2)), dtype=dtype)
+        model = Model(cfg)
+        prefix, pixels = self.four_shot_prefix(tok, cfg)
+        seen = []  # the logits every step of generate decides on
+        prefill, extend = model.prefill, model._extend
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "prefill",
+                          lambda *a: (out := prefill(*a), seen.append(out[1]))[0])
+            patch.setattr(model, "_extend",
+                          lambda *a: (out := extend(*a), seen.append(out[0]))[0])
+            got = model.generate(prefix, pixels, max_new=16)
+        assert len(got) == 16
+        kv, logits = model.prefill(prefix, pixels)
+        want = [logits]
+        for token in got[:-1]:
+            want.append(model.extend(kv, [token])[0])
+        assert got == [int(np.argmax(row)) for row in want]
+        assert len(seen) == len(want)
+        for step, (a, b) in enumerate(zip(seen, want)):
+            assert a.dtype == b.dtype == cfg.np_dtype
+            assert np.array_equal(a, b), step
+
+    def test_generate_fuses_and_lays_out_once_per_call(self, tok, monkeypatch):
+        """Per-call work is not redone per token: the QKV fusions and layout
+        constructions of a generate call do not grow with max_new."""
+        cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
+        model = Model(cfg)
+        prefix, pixels = self.two_image_sample(tok, cfg)
+        counts = {"fuse": 0, "layout": 0}
+        qkv_weights, layout_init = model_module._qkv_weights, _Layout.__init__
+
+        def fuse(*args):
+            counts["fuse"] += 1
+            return qkv_weights(*args)
+
+        def init(self, lengths):
+            counts["layout"] += 1
+            layout_init(self, lengths)
+
+        monkeypatch.setattr(model_module, "_qkv_weights", fuse)
+        monkeypatch.setattr(_Layout, "__init__", init)
+        model.generate(prefix, pixels, max_new=2)  # builds any layout shared across calls
+        per_call = []
+        for max_new in (4, 20):
+            counts.update(fuse=0, layout=0)
+            assert len(model.generate(prefix, pixels, max_new)) == max_new
+            per_call.append(dict(counts))
+        assert per_call[0] == per_call[1]
+        # the vision block, the projector block and each decoder block, once
+        assert per_call[0]["fuse"] == cfg.vision_layers + 1 + cfg.llm_layers
+
+    def test_extend_keeps_its_checks(self, tok, monkeypatch):
+        cfg = TestBatchedPath.cfg(Linear())
+        model = Model(cfg)
+        prefix, pixels = self.two_image_sample(tok, cfg)
+        kv, _ = model.prefill(prefix, pixels)
+        calls = []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        # -1 would otherwise index embed.tok from its end: the PAD row
+        for ids in ([-1], [65, -3], [cfg.vocab_size]):
+            with pytest.raises(ConfigMismatchError, match="vocabulary"):
+                model.extend(kv, ids)
+        with pytest.raises(ConfigMismatchError, match="max_positions"):
+            model.extend(kv, [65] * (cfg.max_positions - kv.length + 1))
+        assert calls == [] and kv.length == len(prefix)
+
 
 def one_pass_losses(monkeypatch, model, prefix, ids, pixels):
     """`continuation_losses`, checked to run each decoder block once: the
@@ -854,6 +944,18 @@ class TestContinuationLosses:
         monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
         with pytest.raises(ConfigMismatchError, match="vocabulary"):
             Model(cfg).continuation_losses(prefix, [tok.encode("red"), bad], pixels)
+        assert calls == []
+
+    @pytest.mark.parametrize("ids", [[-3], [65, -1]])
+    def test_negative_id_rejected_before_any_block(self, tok, monkeypatch, ids):
+        """A negative id would index embed.tok from its end and score as
+        the id vocab_size + id."""
+        cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
+        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
+        calls = []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        with pytest.raises(ConfigMismatchError, match="vocabulary"):
+            Model(cfg).continuation_losses(prefix, [ids, tok.encode("red")], pixels)
         assert calls == []
 
     def test_no_continuation_rejected(self, tok):
