@@ -38,8 +38,13 @@ continues one prefix by every candidate in a single pass: the prefix is its
 first sequence, decoded as a prefill, and each group of equal-length
 candidates attends as one (B_g, H, L, P+L) block over the prefix's cached
 keys and values and its own rows, never over another candidate's.
-`forward` and `sequence_loss` re-run the whole sequence and are the
-uncached reference for both.
+A prefill's head reads only the prefix's last row, and ranking's that row
+and the candidate rows. So in either pass the last decoder block computes
+keys and values for every row, and caches the prefix's, but runs its query
+side (scores, softmax, the attention output, LN2 and the MLP) and the final
+LayerNorm on those rows only. Training and `extend` read every row and
+cut none. `forward` and `sequence_loss` re-run the whole sequence and are
+the uncached reference for generation and ranking.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
@@ -429,7 +434,7 @@ def _qkv_weights(p, prefix):
     return w, b
 
 
-def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
+def _attn_fwd(x, p, prefix, heads, causal, layout, past=None, first=0):
     """Multi-head attention over the flat rows of `layout`.
 
     Each sequence attends within itself only. `past` is (key buffer, value
@@ -440,6 +445,10 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
     turn: they attend over the cached [:P + prefix] and their own rows, and
     stay out of the cache. Without `past` the weights are fused here, and
     the cache keeps them for `_attn_bwd`.
+
+    The output holds the rows from `first` on. With `first` > 0 the first
+    group must be rows [0, L) of the flat layout: it computes keys and
+    values for all of its rows, but queries only from row `first` on.
     """
     D = x.shape[1]
     dh = D // heads
@@ -453,6 +462,9 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
     for i, (L, B, rows) in enumerate(layout.groups):
         part = qkv if rows is None else qkv[rows]
         qh, kh, vh = part.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+        Q = 0 if i else first  # the group's first query row
+        if Q:
+            qh = qh[:, :, Q:]
         P, M = 0, L  # cached positions, and a causal mask size covering P + L
         if past is not None:
             P, M = cached, kbuf.shape[1]
@@ -469,18 +481,20 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None):
                 kh, vh = keys, values
         attn = qh @ kh.transpose(0, 1, 3, 2)
         attn /= math.sqrt(dh)
-        # a one-row sequence sees every position before it, so its mask row
-        # is all zeros; adding it could only turn a -0.0 score into +0.0,
-        # which the softmax maps to the same bits
-        if causal and L > 1:
-            attn += _causal_bias(M, attn.dtype)[P : P + L, : P + L]
+        # a sequence's last row sees every position before it, so the mask
+        # row of a lone query row is all zeros; adding it could only turn a
+        # -0.0 score into +0.0, which the softmax maps to the same bits
+        if causal and L - Q > 1:
+            attn += _causal_bias(M, attn.dtype)[P + Q : P + L, : P + L]
         _softmax_(attn)
-        heads_out = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * L, D)
+        heads_out = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * (L - Q), D)
         if rows is None:
             o = heads_out
         else:
-            o[rows] = heads_out
+            o[slice(Q, L) if Q else rows] = heads_out  # a cut first group is rows [0, L)
         kept.append((qh, kh, vh, attn))
+    if len(layout.groups) > 1:
+        o = o[first:]
     out = o @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
     return out, (x, kept, o, layout, w)
 
@@ -518,10 +532,13 @@ def _attn_bwd(dout, cache, p, g, prefix, heads):
     return dqkv @ w.T
 
 
-def _block_fwd(x, p, prefix, heads, causal, layout, past=None):
+def _block_fwd(x, p, prefix, heads, causal, layout, past=None, first=0):
+    """A pre-norm block over the flat rows of `layout`. Its output holds the
+    rows from `first` on, and only they go through the query side: scores,
+    softmax, the attention output, LN2 and the MLP."""
     h1, ln1_cache = _ln_fwd(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    x2, attn_cache = _attn_fwd(h1, p, f"{prefix}.attn", heads, causal, layout, past)
-    x2 += x
+    x2, attn_cache = _attn_fwd(h1, p, f"{prefix}.attn", heads, causal, layout, past, first)
+    x2 += x[first:]
     h2, ln2_cache = _ln_fwd(x2, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     pre = h2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
     act, gelu_cache = _gelu_fwd(pre)
@@ -570,7 +587,9 @@ class _Pass:
     layout: _Layout
     tokens: np.ndarray  # (N,) int64 token ids, flat
     text: np.ndarray  # (N,) bool, TEXT positions
-    normed: np.ndarray  # (N, model_dim) final-LN output, the head's input
+    # final-LN output, the head's input: (N, model_dim), or in a pass with a
+    # KVCache the rows from the cached sequence's last one on
+    normed: np.ndarray
     final_ln: tuple
     # a training pass keeps the decoder block caches and, when the batch has
     # images, (slot rows, their rows in the projected stack, stack rows,
@@ -814,6 +833,8 @@ class Model:
 
     def _check_sample(self, sample: PackedSample, pixels: dict[str, np.ndarray]):
         cfg = self.cfg
+        if not len(sample):
+            raise ConfigMismatchError("empty sample: no position to decode")
         if len(sample) > cfg.max_positions:
             raise ConfigMismatchError(
                 f"sample length {len(sample)} exceeds max_positions {cfg.max_positions}"
@@ -834,7 +855,9 @@ class Model:
         A training pass keeps what backward needs; any other pass keeps the
         hidden states instead. Given an empty KVCache, the pass is the first
         sample's prefill, and every later sample continues that one, as a
-        `_Layout.continuing` layout lays them out.
+        `_Layout.continuing` layout lays them out. The head then reads only
+        the first sample's last row, which predicts what follows it, and the
+        later samples' rows, so the decoder's output starts at that row.
         """
         pixels = pixels or {}
         for sample in samples:
@@ -866,12 +889,14 @@ class Model:
             if train:
                 images = (dst, src, len(image_ids) * S, enc_cache, proj_cache)
         layout.add_positions(x, p["embed.pos"])
-        normed, final_ln, kept = self._decode(x, layout, train, kv)
+        first = 0 if kv is None else lengths[0] - 1
+        normed, final_ln, kept = self._decode(x, layout, train, kv, first)
         if train:
             return _Pass(layout, tokens, text, normed, final_ln, kept, images, [])
         return _Pass(layout, tokens, text, normed, final_ln, [], None, kept)
 
-    def _decode(self, x, layout: _Layout, train: bool, kv: KVCache | None = None):
+    def _decode(self, x, layout: _Layout, train: bool, kv: KVCache | None = None,
+                first: int = 0):
         """The decoder blocks and final LayerNorm over embedded rows.
 
         Returns the final LayerNorm's output and cache, and the block caches
@@ -879,16 +904,25 @@ class Model:
         group's one sequence continues it from its length, which then
         advances past it; a continuing layout's later sequences continue
         that one in turn and stay out of the cache.
+
+        The output holds the rows from `first` on, the first the caller
+        reads: the last block computes keys and values for every row, so the
+        cache covers them all, and runs its query side, as the final
+        LayerNorm does, on those rows only. So does the last hidden state.
         """
         cfg, p = self.cfg, self.params
         kept = [] if train else [x]  # block caches or hidden states
+        last = cfg.llm_layers - 1
         for i in range(cfg.llm_layers):
             past = None if kv is None else (kv.k[i], kv.v[i], kv.length, kv.qkv[i])
-            x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout, past)
+            x, cache = _block_fwd(x, p, f"llm.block{i}", cfg.heads, True, layout, past,
+                                  first if i == last else 0)
             kept.append(cache if train else x)
             del cache  # outside training, freed before the next block runs
         if kv is not None:
             kv.length += layout.groups[0][0]
+        if last < 0:  # no block cut the rows
+            x = x[first:]
         normed, final_ln = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
         return normed, final_ln, kept
 
@@ -1032,7 +1066,9 @@ class Model:
     def prefill(self, sample: PackedSample, pixels=None) -> tuple[KVCache, np.ndarray]:
         """Decode one sample, its images encoded once, into a new KVCache.
 
-        Returns the cache and the logits of the sample's last position.
+        Returns the cache and the logits of the sample's last position. The
+        cache holds every position's keys and values; the last block's query
+        side and the final LayerNorm run on the last position only.
         """
         kv = KVCache(self)
         fw = self._forward([sample], pixels, train=False, kv=kv)
@@ -1068,7 +1104,8 @@ class Model:
         and each continuation continues the prefix at positions len(prefix)..,
         attending over the prefix and itself but never over another
         continuation. The head runs on the prefix's last row, which predicts
-        every first token, and on the continuation rows.
+        every first token, and on the continuation rows, and the last block's
+        query side and the final LayerNorm run on those rows only.
         """
         cfg, P = self.cfg, len(prefix)
         ids = [np.asarray(c, dtype=np.int64) for c in continuations]
@@ -1085,10 +1122,11 @@ class Model:
         fed = [PackedSample(c, np.full(len(c), TEXT, dtype=np.uint8),
                             np.zeros(len(c), dtype=np.uint8)) for c in ids]
         fw = self._forward([prefix] + fed, pixels, train=False, kv=KVCache(self))
-        # target j of continuation c is predicted by the prefix's last row
-        # (j = 0) or by the continuation's row j - 1
-        rows = P - 1 + np.arange(n.sum())
-        rows[np.cumsum(n) - n] = P - 1
+        # the output starts at the prefix's last row, which predicts every
+        # continuation's first token; target j > 0 of a continuation is
+        # predicted by its row j - 1
+        rows = np.arange(n.sum())
+        rows[np.cumsum(n) - n] = 0
         logits = fw.normed[rows] @ self.params["head.w"] + self.params["head.b"]
         owner = np.repeat(np.arange(len(n)), n)
         return np.bincount(owner, _xent_(logits, np.concatenate(ids)), minlength=len(n)) / n
@@ -1102,6 +1140,8 @@ class Model:
         check on max_new made room for it.
         """
         eos = ByteTokenizer().eos
+        if max_new < 0:
+            raise ConfigMismatchError(f"max_new must be at least 0, not {max_new}")
         if len(prefix) + max_new > self.cfg.max_positions:
             raise ConfigMismatchError("prefix + max_new exceeds max_positions")
         out: list[int] = []

@@ -319,6 +319,15 @@ class TestGenerate:
         sample = make_sample(tok, tiny_model.cfg, "prefix", image_ids=())
         assert tiny_model.generate(sample, max_new=0) == []
 
+    @pytest.mark.parametrize("max_new", [-1, -3])
+    def test_negative_max_new_rejected_before_prefill(self, tiny_model, tok, monkeypatch, max_new):
+        sample = make_sample(tok, tiny_model.cfg, "prefix", image_ids=())
+        calls = []
+        monkeypatch.setattr(tiny_model, "prefill", lambda *args: calls.append(args))
+        with pytest.raises(ConfigMismatchError, match="max_new"):
+            tiny_model.generate(sample, max_new=max_new)
+        assert calls == []
+
     def test_deterministic(self, tiny_model, tok):
         sample = make_sample(tok, tiny_model.cfg, "prefix", image_ids=())
         a = tiny_model.generate(sample, max_new=8)
@@ -647,6 +656,19 @@ class TestBatchedPath:
         for sample, got in zip(batch, losses):
             assert got == pytest.approx(model.sequence_loss(sample, pixels), rel=1e-12)
 
+    @pytest.mark.parametrize("entry", ["prefill", "generate", "continuation_losses",
+                                       "sequence_loss", "loss_and_grads"])
+    def test_empty_sample_rejected_before_any_block(self, tok, monkeypatch, entry):
+        model = Model(self.cfg(Linear()))
+        empty = PackedSample(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint8),
+                             np.zeros(0, dtype=np.uint8))
+        calls = []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        args = (empty, [tok.encode("red")]) if entry == "continuation_losses" else (empty,)
+        with pytest.raises(ConfigMismatchError, match="empty sample"):
+            getattr(model, entry)(*args)
+        assert calls == []
+
     def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch):
         """Backward reuses the QKV weights its forward fused."""
         cfg = self.cfg(TransformerBlockProjector(2))
@@ -749,17 +771,27 @@ class TestKVCache:
             out.append(nxt)
         return out
 
+    @staticmethod
+    def head(sample, n):
+        """The first n positions of `sample`, with the image slots that fit."""
+        return PackedSample(sample.tokens[:n], sample.modality_mask[:n], sample.loss_mask[:n],
+                            [slot for slot in sample.image_slots if slot.start + slot.length <= n])
+
     @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
     def test_prefill_then_extend_equals_forward(self, tok, variant):
         cfg = TestBatchedPath.cfg(variant)
         model = Model(cfg)
         sample, pixels = self.two_image_sample(tok, cfg)
-        want = model.forward(sample, pixels).logits
         text_start = max(slot.start + slot.length for slot in sample.image_slots)
-        for split in (text_start, text_start + 7, len(sample) - 1):
-            head = PackedSample(sample.tokens[:split], sample.modality_mask[:split],
-                                sample.loss_mask[:split], sample.image_slots)
-            kv, last = model.prefill(head, pixels)
+        # the prefill stops on the last IMAGE row, inside the text, on the
+        # row before the last, or after BOS alone (an extension feeds text
+        # rows only, so that sample has no image)
+        cases = [(sample, pixels, split) for split in
+                 (text_start, text_start + 7, len(sample) - 1)]
+        cases.append((make_sample(tok, cfg, "text after BOS", image_ids=()), {}, 1))
+        for sample, pixels, split in cases:
+            want = model.forward(sample, pixels).logits
+            kv, last = model.prefill(self.head(sample, split), pixels)
             got = np.vstack([last, model.extend(kv, sample.tokens[split:])])
             assert kv.length == len(sample)
             err = np.abs(got - want[split - 1 :]).max()
@@ -863,21 +895,88 @@ class TestKVCache:
         assert calls == [] and kv.length == len(prefix)
 
 
-def one_pass_losses(monkeypatch, model, prefix, ids, pixels):
-    """`continuation_losses`, checked to run each decoder block once: the
-    prefix and every continuation share one decoder pass."""
+def decoder_rows(monkeypatch, call):
+    """`call()`'s result, and (name, output rows) of each decoder block it ran."""
     calls, block_fwd = [], model_module._block_fwd
 
-    def counting(x, p, name, *args):
-        calls.append(name)
-        return block_fwd(x, p, name, *args)
+    def counting(x, p, name, *args, **kwargs):
+        out = block_fwd(x, p, name, *args, **kwargs)
+        if name.startswith("llm."):
+            calls.append((name, len(out[0])))
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(model_module, "_block_fwd", counting)
-        losses = model.continuation_losses(prefix, ids, pixels)
-    decoder = [name for name in calls if name.startswith("llm.")]
-    assert decoder == [f"llm.block{i}" for i in range(model.cfg.llm_layers)]
+        result = call()
+    return result, calls
+
+
+def one_pass_losses(monkeypatch, model, prefix, ids, pixels):
+    """`continuation_losses`, checked to run each decoder block once: the
+    prefix and every continuation share one decoder pass, and its last block
+    outputs only the rows the head reads, the prefix's last and every
+    continuation row."""
+    losses, calls = decoder_rows(monkeypatch,
+                                 lambda: model.continuation_losses(prefix, ids, pixels))
+    layers, scored = model.cfg.llm_layers, sum(len(c) for c in ids)
+    assert [name for name, _ in calls] == [f"llm.block{i}" for i in range(layers)]
+    assert [rows for _, rows in calls] == [len(prefix) + scored] * (layers - 1) + [1 + scored]
     return losses
+
+
+class TestLastBlockRows:
+    """A pass with a KVCache runs the last decoder block's query side only
+    on the rows the head reads; every other pass, on every row."""
+
+    @pytest.mark.parametrize("entry", ["continuation_losses", "prefill", "loss_and_grads",
+                                       "forward"])
+    def test_last_block_output_rows(self, tok, monkeypatch, entry):
+        cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
+        model = Model(cfg)
+        sample, pixels = TestKVCache.two_image_sample(tok, cfg)
+        short = make_sample(tok, cfg, "short", image_ids=())
+        ids = [tok.encode(c) for c in ("red", "x", "a longer candidate")]
+        call, every, last = {
+            "continuation_losses": (lambda: model.continuation_losses(sample, ids, pixels),
+                                    len(sample) + sum(map(len, ids)), 1 + sum(map(len, ids))),
+            "prefill": (lambda: model.prefill(sample, pixels), len(sample), 1),
+            "loss_and_grads": (lambda: model.loss_and_grads([sample, short], pixels),
+                               len(sample) + len(short), len(sample) + len(short)),
+            "forward": (lambda: model.forward([sample, short], pixels),
+                        len(sample) + len(short), len(sample) + len(short)),
+        }[entry]
+        _, calls = decoder_rows(monkeypatch, call)
+        assert [rows for _, rows in calls] == [every] * (cfg.llm_layers - 1) + [last]
+
+    def test_without_decoder_blocks_the_final_layer_norm_is_cut(self, tok):
+        cfg = dataclasses.replace(TestBatchedPath.cfg(Linear()), llm_layers=0)
+        model = Model(cfg)
+        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
+        ids = [tok.encode(c) for c in ("red", "x", "a longer candidate")]
+        want = [model.sequence_loss(append_text(prefix, c, loss=True), pixels) for c in ids]
+        np.testing.assert_allclose(model.continuation_losses(prefix, ids, pixels), want,
+                                   rtol=1e-12, atol=0)
+        _, last = model.prefill(prefix, pixels)
+        np.testing.assert_allclose(last, model.forward(prefix, pixels).logits[-1],
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_prefill_caches_every_row(self, tok, dtype):
+        """The last block's keys and values cover every prefix row, as the
+        uncached forward's hidden states give them."""
+        cfg = dataclasses.replace(TestBatchedPath.cfg(TransformerBlockProjector(2)), dtype=dtype)
+        model = Model(cfg)
+        prefix, pixels = TestKVCache.four_shot_prefix(tok, cfg)
+        kv, _ = model.prefill(prefix, pixels)
+        hidden = model.forward(prefix, pixels).hidden
+        P, dh, p = len(prefix), cfg.model_dim // cfg.heads, model.params
+        tol = 1e-12 if dtype == "float64" else 1e-5
+        for i in range(cfg.llm_layers):
+            h, _ = _ln_fwd(hidden[i], p[f"llm.block{i}.ln1.g"], p[f"llm.block{i}.ln1.b"])
+            for buf, name in ((kv.k[i], "k"), (kv.v[i], "v")):
+                want = h @ p[f"llm.block{i}.attn.w{name}"] + p[f"llm.block{i}.attn.b{name}"]
+                want = want.reshape(P, cfg.heads, dh).transpose(1, 0, 2)
+                np.testing.assert_allclose(buf[:, :P], want, rtol=tol, atol=tol * np.abs(want).max())
 
 
 class TestContinuationLosses:
@@ -891,6 +990,17 @@ class TestContinuationLosses:
     def reference(model, prefix, ids, pixels):
         return [model.sequence_loss(append_text(prefix, c, loss=True), pixels) for c in ids]
 
+    # the two-image sample, its BOS alone (the head reads row 0), and its
+    # positions up to its last IMAGE row
+    PREFIXES = ("two-image", "bos-only", "image-last")
+
+    @staticmethod
+    def prefix(kind, tok, cfg):
+        sample, pixels = TestKVCache.two_image_sample(tok, cfg)
+        text_start = max(slot.start + slot.length for slot in sample.image_slots)
+        n = {"two-image": len(sample), "bos-only": 1, "image-last": text_start}[kind]
+        return TestKVCache.head(sample, n), pixels
+
     def test_five_candidates_take_one_decoder_pass(self, tok, monkeypatch):
         cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
         prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
@@ -902,16 +1012,18 @@ class TestContinuationLosses:
     def test_mixed_lengths_equal_reference_in_any_order(self, tok, monkeypatch, variant):
         cfg = TestBatchedPath.cfg(variant)
         model = Model(cfg)
-        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
         ids = [tok.encode(c) for c in self.CANDIDATES]
-        losses = one_pass_losses(monkeypatch, model, prefix, ids, pixels)
-        np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
-                                   rtol=1e-12, atol=0)
-        # a continuation never attends over another, so order moves no bit
-        assert np.array_equal(model.continuation_losses(prefix, ids[::-1], pixels)[::-1], losses)
-        order = [3, 0, 5, 2, 4, 1]
-        shuffled = model.continuation_losses(prefix, [ids[i] for i in order], pixels)
-        assert np.array_equal(shuffled, losses[order])
+        for kind in self.PREFIXES:
+            prefix, pixels = self.prefix(kind, tok, cfg)
+            losses = one_pass_losses(monkeypatch, model, prefix, ids, pixels)
+            np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
+                                       rtol=1e-12, atol=0, err_msg=kind)
+            # a continuation never attends over another, so order moves no bit
+            reversed_ = model.continuation_losses(prefix, ids[::-1], pixels)[::-1]
+            assert np.array_equal(reversed_, losses), kind
+            order = [3, 0, 5, 2, 4, 1]
+            shuffled = model.continuation_losses(prefix, [ids[i] for i in order], pixels)
+            assert np.array_equal(shuffled, losses[order]), kind
 
     def test_float32_equals_a_cached_decode_per_candidate(self, tok, monkeypatch):
         """In float32 the reference rounds differently in the prefix rows: a
@@ -921,18 +1033,23 @@ class TestContinuationLosses:
         cfg = dataclasses.replace(TestBatchedPath.cfg(TransformerBlockProjector(2)),
                                   dtype="float32")
         model = Model(cfg)
-        prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
         ids = [tok.encode(c) for c in self.CANDIDATES]
-        losses = one_pass_losses(monkeypatch, model, prefix, ids, pixels)
-        cached = []
-        for c in ids:
-            kv, last = model.prefill(prefix, pixels)
-            logits = np.vstack([last, model.extend(kv, c)[:-1]])
-            cached.append(sum(float(ce) for ce in _xent_(logits, np.asarray(c))) / len(c))
-        np.testing.assert_allclose(losses, cached, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
-                                   rtol=1e-6, atol=0)
-        assert np.array_equal(model.continuation_losses(prefix, ids[::-1], pixels)[::-1], losses)
+        # a BOS-only prefix is left out: its last block cuts no row, yet one
+        # candidate of a batched group rounds one float32 ulp (2.1e-8
+        # relative) apart from its decode alone
+        for kind in ("two-image", "image-last"):
+            prefix, pixels = self.prefix(kind, tok, cfg)
+            losses = one_pass_losses(monkeypatch, model, prefix, ids, pixels)
+            cached = []
+            for c in ids:
+                kv, last = model.prefill(prefix, pixels)
+                logits = np.vstack([last, model.extend(kv, c)[:-1]])
+                cached.append(sum(float(ce) for ce in _xent_(logits, np.asarray(c))) / len(c))
+            np.testing.assert_allclose(losses, cached, rtol=1e-12, atol=0, err_msg=kind)
+            np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
+                                       rtol=1e-6, atol=0, err_msg=kind)
+            reversed_ = model.continuation_losses(prefix, ids[::-1], pixels)[::-1]
+            assert np.array_equal(reversed_, losses), kind
 
     @pytest.mark.parametrize("where", [0, -1])
     def test_out_of_vocabulary_id_rejected_before_any_block(self, tok, monkeypatch, where):
