@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -243,13 +244,18 @@ def cmd_train_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    written = []  # every file this run writes, in order
+
     def on_stage_end(stage_name: str, m: Model) -> None:
-        m.save_checkpoint(out_dir / f"{stage_name}.ckpt")
+        written.append(out_dir / f"{stage_name}.ckpt")
+        m.save_checkpoint(written[-1])
 
     log = trainer.run_recipe(plan, model, corpora, args.seed,
                              on_stage_end=on_stage_end)
-    model.save_checkpoint(out_dir / "final.ckpt")
-    _write_output(out_dir / "runlog.csv", log.to_csv())
+    written.append(out_dir / "final.ckpt")
+    model.save_checkpoint(written[-1])
+    written.append(out_dir / "runlog.csv")
+    _write_output(written[-1], log.to_csv())
 
     # alignment profile on a probe batch from the training distribution
     tok = ByteTokenizer()
@@ -259,7 +265,8 @@ def cmd_train_run(args) -> int:
              for s in packing.pack_document(doc, tok, cfg.slot_length, cfg.max_positions)]
     pixels = packing.bind_pixels(probe, cfg.resolution)
     profile = diagnostics.alignment_profile(model, probe, pixels)
-    _write_output(out_dir / "align.csv", profile.to_csv())
+    written.append(out_dir / "align.csv")
+    _write_output(written[-1], profile.to_csv())
 
     # a small candidate-rank eval derived from the caption pairs
     if corpora.pairs:
@@ -277,15 +284,15 @@ def cmd_train_run(args) -> int:
         ]
         task = evaluation.EvalTask("caption-match", items, [], "candidate-rank")
         report = evaluation.run_eval(model, task, 0, args.seed)
-        _write_output(out_dir / "eval.csv", report.to_csv())
+        written.append(out_dir / "eval.csv")
+        _write_output(written[-1], report.to_csv())
         print(f"eval accuracy (0-shot, candidate-rank): {report.accuracy:.3f}")
 
     inputs = [p for p in (args.corpus_a, args.corpus_b) if p]
     manifest.write_manifest(
         out_dir / "runlog.csv", "train run",
         {"preset": args.preset, "steps": args.steps, "cfg": cfg.to_json()},
-        args.seed, inputs,
-        [str(out_dir / name) for name in ("final.ckpt", "runlog.csv", "align.csv")])
+        args.seed, inputs, [str(path) for path in written])
     print(f"final loss: {log.records[-1].loss:.4f}; artifacts in {out_dir}")
     return 0
 
@@ -414,9 +421,9 @@ def build_parser() -> Parser:
     p.add_argument("--corpus-a", default=None, help="interleaved-jsonl corpus")
     p.add_argument("--corpus-b", default=None, help="pairs-jsonl corpus")
     p.add_argument("--out", required=True, help="checkpoint/report directory")
-    p.add_argument("--steps", default="50,200,50",
+    p.add_argument("--steps", default=",".join(map(str, trainer.PRESET_STEPS)),
                    help="per-stage step counts, comma separated")
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--batch-size", type=int, default=trainer.StageSpec.batch_size)
     p.add_argument("--eval-items", type=int, default=16)
     _add_model_flags(p)
     _add_seed(p)
@@ -425,7 +432,8 @@ def build_parser() -> Parser:
     p = train_sub.add_parser("compare-loss", help="gap report between two run logs")
     p.add_argument("log_a")
     p.add_argument("log_b")
-    p.add_argument("--final-window", type=int, default=100)
+    p.add_argument("--final-window", type=int, default=inspect.signature(
+        trainer.compare_loss_curves).parameters["final_window"].default)
     p.add_argument("--out", default=None)
     _add_seed(p)
     p.set_defaults(func=cmd_train_compare_loss)
@@ -452,10 +460,11 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("fixture", help="generate synthetic corpora")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-docs", type=int, default=100)
-    p.add_argument("--images-per-doc", type=int, default=4)
-    p.add_argument("--tokens-per-image", type=float, default=122.5)
-    p.add_argument("--n-pairs", type=int, default=200)
+    p.add_argument("--n-docs", type=int, default=fixtures.FixtureSpec.n_docs)
+    p.add_argument("--images-per-doc", type=int, default=fixtures.FixtureSpec.images_per_doc)
+    p.add_argument("--tokens-per-image", type=float,
+                   default=fixtures.FixtureSpec.tokens_per_image)
+    p.add_argument("--n-pairs", type=int, default=fixtures.FixtureSpec.n_pairs)
     _add_seed(p)
     p.set_defaults(func=cmd_fixture)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from .corpus import ImageSegment, InterleavedDocument, PairSample, TextSegment
 from .corpus import document_to_json, pair_to_json
 from .errors import VlmforgeError
+from .manifest import atomic_open
 from .seeding import substream
 
 
@@ -107,17 +108,17 @@ def make_pairs(spec: FixtureSpec) -> list[PairSample]:
 
 
 def fixture_gen(spec: FixtureSpec, out_dir) -> dict[str, Path]:
-    """Write both fixture corpora; byte-identical for identical (spec, seed).
-    A spec that fails validation writes nothing."""
+    """Write both fixture corpora, each atomically; byte-identical for
+    identical (spec, seed). A spec that fails validation writes nothing."""
     spec.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     interleaved_path = out_dir / "interleaved.jsonl"
     pairs_path = out_dir / "pairs.jsonl"
-    with open(interleaved_path, "w", encoding="utf-8") as fh:
+    with atomic_open(interleaved_path) as fh:
         for doc in make_interleaved(spec):
             fh.write(json.dumps(document_to_json(doc), sort_keys=True) + "\n")
-    with open(pairs_path, "w", encoding="utf-8") as fh:
+    with atomic_open(pairs_path) as fh:
         for pair in make_pairs(spec):
             fh.write(json.dumps(pair_to_json(pair), sort_keys=True) + "\n")
     return {"interleaved": interleaved_path, "pairs": pairs_path}

@@ -43,8 +43,14 @@ and the candidate rows. So in either pass the last decoder block computes
 keys and values for every row, and caches the prefix's, but runs its query
 side (scores, softmax, the attention output, LN2 and the MLP) and the final
 LayerNorm on those rows only. Training and `extend` read every row and
-cut none. `forward` and `sequence_loss` re-run the whole sequence and are
-the uncached reference for generation and ranking.
+cut none. `forward` re-runs the whole sequence and is the uncached
+reference for generation and ranking.
+
+Every loss is next-token cross-entropy: row r of the flat batch predicts
+token r + 1, and one loss mask over the batch, each sample's first position
+zeroed, picks and weighs the scored rows (`_scored_rows`). The head and the
+cross-entropy run on those rows only (`_head_xent`); `_sample_means`
+averages them per sample.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
@@ -291,44 +297,28 @@ class _Layout:
     equal-length sequences: `groups` holds (L, B_g, rows), where `rows`
     gathers the group's flat rows in order, so `a[rows]` reshapes to its
     (B_g, L, F) view. `rows` is None when the group is the whole batch and
-    the view is a plain reshape, as for any batch of one length.
+    the view is a plain reshape, as for any batch of one length, and a slice
+    when the group is one sequence, so its view is not a copy.
 
-    A layout from `continuing` holds a prefix and sequences that each
-    continue it: groups[0] is the prefix, and every later group's sequences
-    take the positions from `prefix` on. `prefix` is 0 in any other layout.
-    There a group of one sequence has a slice for `rows`, so its view of the
-    flat rows is not a copy.
+    With a `prefix` of P > 0 rows, the layout holds a prefix and sequences
+    that each continue it: groups[0] is the prefix's P rows, and every later
+    group's sequences take the positions from P on.
     """
 
-    prefix = 0
-
-    def __init__(self, lengths):
-        lengths = np.asarray(lengths)
-        self.N = int(lengths.sum())
-        if (lengths == lengths[0]).all():
-            self.groups = [(int(lengths[0]), len(lengths), None)]
-            return
-        starts = np.cumsum(lengths) - lengths
-        self.groups = []
-        for L in np.unique(lengths):
-            first = starts[lengths == L]
-            self.groups.append((int(L), len(first), (first[:, None] + np.arange(L)).ravel()))
-
-    @classmethod
-    def continuing(cls, prefix: int, lengths) -> "_Layout":
-        """The prefix's `prefix` rows, then sequences of `lengths`, each one
-        continuing the prefix; the flat rows keep that order."""
-        layout = cls.__new__(cls)
-        layout.prefix, layout.N = prefix, prefix + sum(lengths)
-        layout.groups = [(prefix, 1, slice(0, prefix) if lengths else None)]
+    def __init__(self, lengths, prefix: int = 0):
+        self.prefix, self.N = prefix, prefix + int(sum(lengths))
         starts = {}  # length -> the first flat row of each sequence of that length
         for start, L in zip(itertools.accumulate(lengths, initial=prefix), lengths):
-            starts.setdefault(L, []).append(start)
-        for L, first in sorted(starts.items()):
-            rows = (slice(first[0], first[0] + L) if len(first) == 1
-                    else (np.array(first)[:, None] + np.arange(L)).ravel())
-            layout.groups.append((L, len(first), rows))
-        return layout
+            starts.setdefault(int(L), []).append(start)
+        groups = [(prefix, [0])] if prefix else []
+        groups += sorted(starts.items())
+        if len(groups) == 1:
+            L, first = groups[0]
+            self.groups = [(L, len(first), None)]
+            return
+        self.groups = [(L, len(first), slice(first[0], first[0] + L) if len(first) == 1
+                        else (np.array(first)[:, None] + np.arange(L)).ravel())
+                       for L, first in groups]
 
     @classmethod
     @functools.lru_cache(maxsize=256)
@@ -440,11 +430,11 @@ def _attn_fwd(x, p, prefix, heads, causal, layout, past=None, first=0):
     Each sequence attends within itself only. `past` is (key buffer, value
     buffer, P, fused QKV weights) of one sequence whose first P positions
     are cached: the first group's one sequence, positions P.., writes its
-    keys and values there and attends over [:P + rows]. In a
-    `_Layout.continuing` layout every later group's sequences continue it in
-    turn: they attend over the cached [:P + prefix] and their own rows, and
-    stay out of the cache. Without `past` the weights are fused here, and
-    the cache keeps them for `_attn_bwd`.
+    keys and values there and attends over [:P + rows]. In a layout with a
+    prefix every later group's sequences continue it in turn: they attend
+    over the cached [:P + prefix] and their own rows, and stay out of the
+    cache. Without `past` the weights are fused here, and the cache keeps
+    them for `_attn_bwd`.
 
     The output holds the rows from `first` on. With `first` > 0 the first
     group must be rows [0, L) of the flat layout: it computes keys and
@@ -574,6 +564,14 @@ def _xent_(logits, targets):
     logits /= z[:, None]
     logits[rows, targets] -= 1.0
     return np.log(z) - picked
+
+
+def _sample_means(owner, ce, weights, n):
+    """Each of `n` samples' weighted mean of the per-row losses `ce`, row i
+    belonging to sample owner[i]; 0 for a sample whose rows weigh nothing."""
+    total = np.bincount(owner, ce * weights, minlength=n)
+    count = np.bincount(owner, weights, minlength=n)
+    return np.divide(total, count, out=np.zeros(n), where=count > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +833,10 @@ class Model:
         cfg = self.cfg
         if not len(sample):
             raise ConfigMismatchError("empty sample: no position to decode")
+        if not len(sample.modality_mask) == len(sample.loss_mask) == len(sample):
+            raise ConfigMismatchError(
+                f"mask lengths (modality {len(sample.modality_mask)}, loss "
+                f"{len(sample.loss_mask)}) differ from the {len(sample)} tokens")
         if len(sample) > cfg.max_positions:
             raise ConfigMismatchError(
                 f"sample length {len(sample)} exceeds max_positions {cfg.max_positions}"
@@ -855,16 +857,17 @@ class Model:
         A training pass keeps what backward needs; any other pass keeps the
         hidden states instead. Given an empty KVCache, the pass is the first
         sample's prefill, and every later sample continues that one, as a
-        `_Layout.continuing` layout lays them out. The head then reads only
-        the first sample's last row, which predicts what follows it, and the
-        later samples' rows, so the decoder's output starts at that row.
+        layout with that sample as its prefix lays them out. The head then
+        reads only the first sample's last row, which predicts what follows
+        it, and the later samples' rows, so the decoder's output starts at
+        that row.
         """
         pixels = pixels or {}
         for sample in samples:
             self._check_sample(sample, pixels)
         cfg, p = self.cfg, self.params
         lengths = [len(s) for s in samples]
-        layout = _Layout(lengths) if kv is None else _Layout.continuing(lengths[0], lengths[1:])
+        layout = _Layout(lengths) if kv is None else _Layout(lengths[1:], prefix=lengths[0])
         tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64)
         text = np.concatenate([s.modality_mask for s in samples]) == TEXT
         x = p["embed.tok"][tokens]
@@ -902,7 +905,7 @@ class Model:
         Returns the final LayerNorm's output and cache, and the block caches
         (training) or the hidden states (otherwise). With a KVCache the first
         group's one sequence continues it from its length, which then
-        advances past it; a continuing layout's later sequences continue
+        advances past it; a prefixed layout's later sequences continue
         that one in turn and stay out of the cache.
 
         The output holds the rows from `first` on, the first the caller
@@ -947,29 +950,25 @@ class Model:
 
     # -- loss and gradients
 
-    @staticmethod
-    def shifted_targets(sample: PackedSample):
-        """Next-token targets aligned with logits positions.
-
-        targets[i] = tokens[i+1]; mask[i] selects positions whose *target*
-        carries loss (loss_mask of the target position). The final position
-        has no target and is masked.
-        """
-        L = len(sample)
-        targets = np.zeros(L, dtype=np.int64)
-        mask = np.zeros(L, dtype=np.float64)
-        if L > 1:
-            targets[: L - 1] = sample.tokens[1:].astype(np.int64)
-            mask[: L - 1] = sample.loss_mask[1:].astype(np.float64)
-        return targets, mask
-
     def _scored_rows(self, samples, fw: _Pass):
-        """Rows that carry loss, their targets and weights, and their logits."""
-        targets, mask = zip(*(self.shifted_targets(s) for s in samples))
-        mask = np.concatenate(mask)
-        rows = np.flatnonzero(mask)
-        logits = fw.normed[rows] @ self.params["head.w"] + self.params["head.b"]
-        return rows, np.concatenate(targets)[rows], mask[rows], logits
+        """The flat rows that carry loss, their targets and their weights.
+
+        Row r predicts the token at r + 1, the target, and weighs as that
+        position's loss mask. The batch's one loss mask has each sample's
+        first position zeroed, so a sample's last row predicts nothing.
+        """
+        lengths = [len(s) for s in samples]
+        mask = np.concatenate([s.loss_mask for s in samples])
+        mask[np.cumsum(lengths) - lengths] = 0
+        rows = np.flatnonzero(mask[1:])
+        return rows, fw.tokens[rows + 1], mask[rows + 1].astype(np.float64)
+
+    def _head_xent(self, normed, targets):
+        """The head's logits on the final-LN rows `normed`, and each row's
+        cross-entropy against its target; the logits are overwritten with
+        that cross-entropy's gradient."""
+        logits = normed @ self.params["head.w"] + self.params["head.b"]
+        return _xent_(logits, targets), logits
 
     def loss_and_grads(
         self,
@@ -992,16 +991,17 @@ class Model:
         grads = {name: np.zeros_like(arr) for name, arr in self.params.items()
                  if self.group_of(name) in train}
         fw = self._forward(samples, pixels, train=True)
-        rows, targets, weights, dlogits = self._scored_rows(samples, fw)
+        rows, targets, weights = self._scored_rows(samples, fw)
         total = float(weights.sum())
         if total == 0.0:
             logger.warning("loss_and_grads: batch has no loss-masked positions")
             return 0.0, grads
-        loss = float(_xent_(dlogits, targets) @ weights) / total
+        normed = fw.normed[rows]
+        ce, dlogits = self._head_xent(normed, targets)
+        loss = float(ce @ weights) / total
         dlogits *= (weights / total)[:, None]
         head = grads if "head" in train else None
-        dnormed = _linear_bwd(dlogits, fw.normed[rows], self.params["head.w"], head,
-                              "head.w", "head.b")
+        dnormed = _linear_bwd(dlogits, normed, self.params["head.w"], head, "head.w", "head.b")
         del dlogits  # (rows, vocab): freed before the decoder's backward
         self._backward(fw, rows, dnormed, grads, train)
         return loss, grads
@@ -1035,30 +1035,19 @@ class Model:
             if "vision" in train:
                 self._encode_image_bwd(denc, enc_cache, grads)
 
-    def loss_from_trace(self, trace: ForwardTrace, targets, mask) -> float:
-        """Mean masked cross-entropy of an existing trace against explicit targets."""
-        targets = np.asarray(targets, dtype=np.int64)
-        mask = np.asarray(mask, dtype=np.float64)
-        n = float(mask.sum())
-        if n == 0.0:
-            return 0.0
-        return float(_xent_(trace.logits.copy(), targets) @ mask) / n
-
     def sequence_loss(self, sample: PackedSample | list[PackedSample], pixels=None):
-        """Loss only (no gradients) for scoring.
+        """Loss only (no gradients).
 
         One sample gives its mean masked cross-entropy as a float. A list is
         scored as one batch, its images encoded once, and gives an array of
-        per-sample means. A sample with no masked position scores 0. It is
-        the uncached reference for `continuation_losses`.
+        per-sample means. A sample with no masked position scores 0.
         """
         samples = [sample] if isinstance(sample, PackedSample) else list(sample)
         fw = self._forward(samples, pixels, train=False)
-        rows, targets, weights, logits = self._scored_rows(samples, fw)
+        rows, targets, weights = self._scored_rows(samples, fw)
+        ce, _ = self._head_xent(fw.normed[rows], targets)
         owner = np.repeat(np.arange(len(samples)), [len(s) for s in samples])[rows]
-        ce = np.bincount(owner, _xent_(logits, targets) * weights, minlength=len(samples))
-        n = np.bincount(owner, weights, minlength=len(samples))
-        losses = np.divide(ce, n, out=np.zeros(len(samples)), where=n > 0)
+        losses = _sample_means(owner, ce, weights, len(samples))
         return float(losses[0]) if isinstance(sample, PackedSample) else losses
 
     # -- cached decoding
@@ -1097,8 +1086,9 @@ class Model:
 
     def continuation_losses(self, prefix: PackedSample, continuations, pixels=None) -> np.ndarray:
         """Mean next-token cross-entropy of each continuation (a non-empty
-        list of text token ids) after `prefix`; equal to `sequence_loss` of
-        `append_text(prefix, ids, loss=True)`.
+        list of text token ids) after `prefix`: the mean over its tokens of
+        the cross-entropy that `forward`'s logits of the prefix followed by
+        the continuation give each of them.
 
         One decoder pass scores them all: the prefix is its first sequence,
         and each continuation continues the prefix at positions len(prefix)..,
@@ -1127,9 +1117,8 @@ class Model:
         # predicted by its row j - 1
         rows = np.arange(n.sum())
         rows[np.cumsum(n) - n] = 0
-        logits = fw.normed[rows] @ self.params["head.w"] + self.params["head.b"]
-        owner = np.repeat(np.arange(len(n)), n)
-        return np.bincount(owner, _xent_(logits, np.concatenate(ids)), minlength=len(n)) / n
+        ce, _ = self._head_xent(fw.normed[rows], np.concatenate(ids))
+        return _sample_means(np.repeat(np.arange(len(n)), n), ce, np.ones(len(rows)), len(n))
 
     def generate(self, prefix: PackedSample, pixels=None, max_new: int = 32) -> list[int]:
         """Greedy continuation; stops at EOS (id vocab-specific: 257).

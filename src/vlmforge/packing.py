@@ -9,12 +9,11 @@ Every PackedSample is built here. One appender writes a block (an image's IMG
 run and slot, then text bytes) and one finisher derives the modality mask
 from the slots and puts loss on the TEXT positions from a start index: 1 for
 documents (`pack_document`), the answer for SFT demos (`pack_sft`), none for
-in-context prompts (`pack_context`). `append_text` extends a sample with text
-tokens. Candidate ranking and greedy generation build no such sample: the
-model continues the context itself, every candidate in the context's own
-decoder pass and each generated token from a KV cache. The tests score
-`append_text` samples with the uncached model as their reference. Shards
-store the same layout and are checked against it as they are read.
+in-context prompts (`pack_context`). Candidate ranking and greedy
+generation build no sample beyond the context: the model continues the
+context itself, every candidate in the context's own decoder pass and each
+generated token from a KV cache. Shards store the same layout, are written
+atomically and are checked against the layout as they are read.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 
 from .corpus import ImageSegment, InterleavedDocument, TextSegment
 from .errors import ConfigMismatchError, ShardFormatError
+from .manifest import atomic_open
 
 TEXT = 0
 IMAGE = 1
@@ -128,21 +128,6 @@ def _finish_sample(ids, slots, stage_tag, loss_from) -> PackedSample:
     loss = np.zeros(len(ids), dtype=np.uint8)
     loss[loss_from:] = modality[loss_from:] == TEXT
     return PackedSample(np.asarray(ids, dtype=np.uint32), modality, loss, slots, stage_tag)
-
-
-def append_text(sample: PackedSample, ids, loss: bool) -> PackedSample:
-    """`sample` followed by the TEXT tokens `ids`, its slots unchanged. With
-    `loss` the appended tokens alone carry loss; without, no position does.
-
-    Neither ranking nor generation goes through it: scored with
-    `Model.sequence_loss` or `Model.forward`, it is the uncached reference
-    that `Model.continuation_losses` and `Model.generate` are tested
-    against."""
-    tokens = np.concatenate([sample.tokens, np.asarray(ids, dtype=np.uint32)])
-    modality = np.concatenate([sample.modality_mask, np.full(len(ids), TEXT, dtype=np.uint8)])
-    loss_mask = np.zeros(len(tokens), dtype=np.uint8)
-    loss_mask[len(sample):] = loss
-    return PackedSample(tokens, modality, loss_mask, list(sample.image_slots), sample.stage_tag)
 
 
 def pack_document(
@@ -289,9 +274,11 @@ def _decode_record(payload: bytes) -> PackedSample:
 
 
 def write_shard(samples, path, vocab_hash: bytes, cfg_hash: bytes) -> int:
-    """Write samples as a length-prefixed binary shard; returns record count."""
+    """Write samples as a length-prefixed binary shard; returns record count.
+    The shard replaces `path` only once every sample is written, so a stream
+    that fails partway leaves whatever was there before."""
     count = 0
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(SHARD_MAGIC)
         fh.write(struct.pack("<I", SHARD_VERSION))
         fh.write(vocab_hash)

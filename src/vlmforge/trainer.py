@@ -314,15 +314,17 @@ PRESETS = {
 }
 
 
-PRESET_LRS = (1e-2, 3e-3, 1e-3)  # init-projector, pretrain, sft
+# per stage: init-projector, pretrain, sft
+PRESET_STEPS = (50, 200, 50)
+PRESET_LRS = (1e-2, 3e-3, 1e-3)
 PRESET_TEXT_ONLY_FRACTION = 0.25  # sft share of text-only demos
 CAPTION_PROMPT = "Describe the image: "  # prompt of the visual SFT demos
 
 
 def preset_plan(
     name: str,
-    steps: tuple[int, int, int] = (50, 200, 50),
-    batch_size: int = 8,
+    steps: tuple[int, int, int] = PRESET_STEPS,
+    batch_size: int = StageSpec.batch_size,
 ) -> tuple[StagePlan, object]:
     """Build the stage plan for one of the four named configurations.
 

@@ -3,7 +3,7 @@ import pytest
 
 from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
 from vlmforge.model import Model, ModelConfig, TransformerBlockProjector
-from vlmforge.packing import ByteTokenizer
+from vlmforge.packing import TEXT, ByteTokenizer, PackedSample
 
 
 @pytest.fixture
@@ -23,6 +23,49 @@ def tiny_cfg():
 @pytest.fixture
 def tiny_model(tiny_cfg):
     return Model(tiny_cfg)
+
+
+def appended(prefix: PackedSample, ids, loss: bool = False) -> PackedSample:
+    """`prefix` followed by the TEXT tokens `ids`, its slots unchanged; with
+    `loss` the appended tokens alone carry loss, without it no position does."""
+    n = len(ids)
+    loss_mask = np.zeros(len(prefix) + n, dtype=np.uint8)
+    loss_mask[len(prefix):] = loss
+    return PackedSample(np.concatenate([prefix.tokens, np.asarray(ids, dtype=np.uint32)]),
+                        np.concatenate([prefix.modality_mask, np.full(n, TEXT, dtype=np.uint8)]),
+                        loss_mask, list(prefix.image_slots), prefix.stage_tag)
+
+
+def row_ce(logits, targets):
+    """Each logits row's cross-entropy against its target, by a log-softmax
+    of its own."""
+    top = logits.max(axis=1)
+    logz = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    return logz - logits[np.arange(len(targets)), np.asarray(targets, dtype=np.int64)]
+
+
+def masked_mean_ce(logits, targets, mask) -> float:
+    """The `mask`-weighted mean of each row's cross-entropy; 0 if nothing
+    is masked in."""
+    mask = np.asarray(mask, dtype=np.float64)
+    return float(row_ce(logits, targets) @ mask / mask.sum()) if mask.sum() else 0.0
+
+
+def next_token_targets(sample: PackedSample):
+    """Row i's target, the token at i + 1, and its weight, that position's
+    loss mask; the last row has neither."""
+    return sample.tokens[1:].astype(np.int64), sample.loss_mask[1:]
+
+
+def candidate_ce(model, prefix: PackedSample, candidates, pixels) -> np.ndarray:
+    """Each candidate's mean cross-entropy after `prefix`, from the
+    `Model.forward` logits of the appended sequence: the uncached reference
+    for `Model.continuation_losses`."""
+    P, out = len(prefix), []
+    for ids in candidates:
+        logits = model.forward(appended(prefix, ids), pixels).logits[P - 1 : P - 1 + len(ids)]
+        out.append(row_ce(logits, ids).mean())
+    return np.array(out)
 
 
 def random_document(rng: np.random.Generator, doc_id: str,

@@ -1,9 +1,11 @@
+import inspect
 import json
 import os
 
 import pytest
 
-from vlmforge.cli import main
+from vlmforge import trainer
+from vlmforge.cli import build_parser, main
 from vlmforge.fixtures import FixtureSpec, fixture_gen
 from vlmforge.model import Downsample, Model, ModelConfig, TransformerBlockProjector
 from vlmforge.packing import ByteTokenizer, config_hash, pack_sft, write_shard
@@ -34,6 +36,21 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    def test_defaults_are_the_librarys(self):
+        """Flags left out take the defaults of the library call they feed."""
+        parser, spec = build_parser(), FixtureSpec()
+        args = parser.parse_args(["fixture", "--out-dir", "x"])
+        assert (args.n_docs, args.images_per_doc, args.tokens_per_image, args.n_pairs) \
+            == (spec.n_docs, spec.images_per_doc, spec.tokens_per_image, spec.n_pairs)
+        args = parser.parse_args(["train", "run", "--out", "x", "--preset", "c"])
+        plan, _ = trainer.preset_plan("c")
+        assert args.steps == ",".join(str(stage.steps) for stage in plan.stages)
+        assert args.batch_size == trainer.StageSpec("s", trainer.ALL_TRAINABLE, 1, 1.0).batch_size
+        assert {stage.batch_size for stage in plan.stages} == {args.batch_size}
+        args = parser.parse_args(["train", "compare-loss", "a.csv", "b.csv"])
+        default = inspect.signature(trainer.compare_loss_curves).parameters["final_window"]
+        assert args.final_window == default.default
 
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -134,6 +151,18 @@ class TestPipeline:
         assert rc == 0
         assert "accuracy" in capsys.readouterr().out
         assert eval_out.read_text().startswith("item_id,prediction,correct")
+
+    def test_train_manifest_lists_every_output(self, corpora, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "run", "--preset", "c", "--corpus-a", str(corpora["interleaved"]),
+                     "--corpus-b", str(corpora["pairs"]), "--out", str(out),
+                     "--steps", "1,1,1", "--batch-size", "2", "--eval-items", "2"]) == 0
+        manifest = out / "runlog.csv.manifest.json"
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert len(outputs) == len(set(outputs))
+        assert set(outputs) == {str(p) for p in out.iterdir() if p != manifest}
+        assert {p.name for p in out.iterdir()} >= {"init-projector.ckpt", "pretrain.ckpt",
+                                                   "sft.ckpt", "eval.csv"}
 
     def test_train_rerun_reproduces_runlog(self, corpora, tmp_path):
         logs = []
@@ -570,6 +599,23 @@ class TestOutputsReplacedAtomically:
         assert main(["corpus", "topk", str(pairs), str(top), "-k", "3"]) == 0
         assert {str(pairs), str(docs), str(top)} <= set(targets)
         assert len(top.read_text().splitlines()) == 3
+
+    def test_pack_and_fixture(self, corpora, tmp_path, monkeypatch):
+        targets = self.replaced(monkeypatch)
+        shard = TestShards.pack(corpora, tmp_path)
+        fixture = fixture_gen(FixtureSpec(n_docs=2, n_pairs=2), tmp_path / "fix2")
+        assert {str(shard), *map(str, fixture.values())} <= set(targets)
+
+    def test_failed_strict_pack_keeps_previous_shard(self, corpora, tmp_path, capsys):
+        shard = TestShards.pack(corpora, tmp_path)
+        before = shard.read_bytes()
+        lines = corpora["interleaved"].read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[:3]) + '{"doc_id": 5}\n' + "".join(lines[3:]))
+        assert main(["pack", "run", str(bad), str(shard), "--max-len", "96", "--strict"]) == 2
+        assert "error" in capsys.readouterr().err
+        assert shard.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_diag_eval_and_compare_loss(self, corpora, tmp_path, monkeypatch):
         ckpt = tmp_path / "m.ckpt"

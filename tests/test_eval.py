@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import appended, candidate_ce
 
 from vlmforge.errors import ConfigMismatchError, VlmforgeError
 from vlmforge.evaluation import (
@@ -12,7 +13,7 @@ from vlmforge.evaluation import (
     score_item,
 )
 from vlmforge.model import Model
-from vlmforge.packing import IMAGE, TEXT, append_text, bind_pixels, pack_sft, pixels_for
+from vlmforge.packing import IMAGE, TEXT, bind_pixels, pack_sft, pixels_for
 from vlmforge.trainer import ALL_TRAINABLE, StageSpec, run_stage
 
 
@@ -251,7 +252,7 @@ class TestBatchedScoring:
         packed = build_kshot(item, 4, task.demo_pool, 0, tok, model.cfg.slot_length,
                              model.cfg.max_positions)
         candidates = ["red", "blue", "green", "gold", "a longer candidate"]
-        scored = [append_text(packed, tok.encode(c), loss=True) for c in candidates]
+        scored = [appended(packed, tok.encode(c), loss=True) for c in candidates]
         batched = model.sequence_loss(scored, pixels)
         single = [model.sequence_loss(s, pixels) for s in scored]
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
@@ -259,7 +260,8 @@ class TestBatchedScoring:
         # which no candidate attends over another, so order moves no bit
         ids = [tok.encode(c) for c in candidates]
         cached = model.continuation_losses(packed, ids, pixels)
-        np.testing.assert_allclose(cached, single, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cached, candidate_ce(model, packed, ids, pixels),
+                                   rtol=1e-12, atol=0)
         assert np.array_equal(model.continuation_losses(packed, ids[::-1], pixels)[::-1], cached)
         ranked = EvalItem(item.item_id, item.prompt, "red", item.image_id, candidates)
         prediction, _ = score_item(model, packed, pixels, "candidate-rank", ranked, tok)
@@ -276,7 +278,7 @@ class TestBatchedScoring:
         assert not packed.image_slots
         ids = [tok.encode(c) for c in candidates]
         losses = one_pass_losses(monkeypatch, model, packed, ids, {})
-        want = TestContinuationLosses.reference(model, packed, ids, {})
+        want = candidate_ce(model, packed, ids, {})
         np.testing.assert_allclose(losses, want, rtol=1e-12, atol=0)
         assert np.array_equal(model.continuation_losses(packed, ids[::-1], {})[::-1], losses)
         prediction, _ = score_item(model, packed, {}, "candidate-rank", item, tok)

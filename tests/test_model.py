@@ -8,6 +8,7 @@ import types
 
 import numpy as np
 import pytest
+from conftest import appended, candidate_ce, masked_mean_ce, next_token_targets
 
 from vlmforge import evaluation
 from vlmforge import model as model_module
@@ -33,7 +34,6 @@ from vlmforge.packing import (
     ByteTokenizer,
     ImageSlot,
     PackedSample,
-    append_text,
     bind_pixels,
     pack_document,
     pack_sft,
@@ -239,23 +239,34 @@ class TestForward:
 class TestLossAndGrads:
     def test_uniform_logits_loss(self, tiny_model, tok):
         sample = make_sample(tok, tiny_model.cfg, "abcd", image_ids=())
-        trace = tiny_model.forward(sample)
-        trace.logits = np.zeros_like(trace.logits)
-        targets, mask = tiny_model.shifted_targets(sample)
-        loss = tiny_model.loss_from_trace(trace, targets, mask)
+        tiny_model.params["head.w"][...] = 0.0  # every logit 0: a uniform softmax
+        loss, _ = tiny_model.loss_and_grads(sample)
         assert loss == pytest.approx(np.log(260), abs=1e-12)
+        assert tiny_model.sequence_loss(sample) == pytest.approx(np.log(260), abs=1e-12)
 
-    def test_mask_contract_bit_identical(self, tiny_model, tok):
-        sample = make_sample(tok, tiny_model.cfg, "mask contract")
-        pixels = bind_pixels([sample], 16)
-        trace = tiny_model.forward(sample, pixels)
-        targets, mask = tiny_model.shifted_targets(sample)
-        base = tiny_model.loss_from_trace(trace, targets, mask)
-        perturbed = targets.copy()
-        rng = np.random.default_rng(0)
-        for i in np.flatnonzero(mask == 0):
-            perturbed[i] = rng.integers(0, 260)
-        assert tiny_model.loss_from_trace(trace, perturbed, mask) == base
+    def test_mask_contract_bit_identical(self, tok):
+        """A batch's scored rows, targets and weights are exactly each
+        sample's shifted ones: its row i predicts its token i + 1, weighed by
+        that position's loss mask, and no row predicts across two samples."""
+        cfg = TestBatchedPath.cfg(Linear())
+        batch, pixels = TestBatchedPath.mixed_batch(tok, cfg)
+        batch[3].loss_mask[5:9] = 0  # positions inside a sample that carry no loss
+        one = np.zeros(1, dtype=np.uint8)
+        batch.insert(2, PackedSample(np.array([tok.bos], dtype=np.uint32), one, one))
+        model = Model(cfg)
+        rows, targets, weights = model._scored_rows(batch, model._forward(batch, pixels, False))
+        want = {"rows": [], "targets": [], "weights": []}
+        offset = 0
+        for sample in batch:
+            shifted, mask = next_token_targets(sample)
+            kept = np.flatnonzero(mask)
+            want["rows"].append(offset + kept)
+            want["targets"].append(shifted[kept])
+            want["weights"].append(mask[kept].astype(np.float64))
+            offset += len(sample)
+        for name, got in (("rows", rows), ("targets", targets), ("weights", weights)):
+            assert np.array_equal(got, np.concatenate(want[name])), name
+        assert weights.dtype == np.float64
 
     def test_all_masked_flagged_zero(self, tiny_model, tok, caplog):
         sample = make_sample(tok, tiny_model.cfg, "x", image_ids=())
@@ -306,10 +317,10 @@ class TestLossAndGrads:
         a = make_sample(tok, tiny_model.cfg, "short", image_ids=())
         b = make_sample(tok, tiny_model.cfg, "a considerably longer sample", image_ids=())
         loss_batch, _ = tiny_model.loss_and_grads([a, b])
-        ta, ma = tiny_model.shifted_targets(a)
-        tb, mb = tiny_model.shifted_targets(b)
-        ca = tiny_model.loss_from_trace(tiny_model.forward(a), ta, ma) * ma.sum()
-        cb = tiny_model.loss_from_trace(tiny_model.forward(b), tb, mb) * mb.sum()
+        ta, ma = next_token_targets(a)
+        tb, mb = next_token_targets(b)
+        ca = masked_mean_ce(tiny_model.forward(a).logits[:-1], ta, ma) * ma.sum()
+        cb = masked_mean_ce(tiny_model.forward(b).logits[:-1], tb, mb) * mb.sum()
         want = (ca + cb) / (ma.sum() + mb.sum())
         assert loss_batch == pytest.approx(want, rel=1e-12)
 
@@ -594,7 +605,7 @@ class TestBatchedPath:
     @staticmethod
     def assert_equals_weighted_single_sample_calls(model, batch, pixels):
         loss, grads = model.loss_and_grads(batch, pixels)
-        weights = [model.shifted_targets(s)[1].sum() for s in batch]
+        weights = [float(next_token_targets(s)[1].sum()) for s in batch]
         want_loss = 0.0
         want = {name: np.zeros_like(g) for name, g in grads.items()}
         for sample, weight in zip(batch, weights):
@@ -659,14 +670,23 @@ class TestBatchedPath:
     @pytest.mark.parametrize("entry", ["prefill", "generate", "continuation_losses",
                                        "sequence_loss", "loss_and_grads"])
     def test_empty_sample_rejected_before_any_block(self, tok, monkeypatch, entry):
+        """An empty sample, and one whose masks are not as long as its
+        tokens, would otherwise decode nothing or score misaligned rows."""
         model = Model(self.cfg(Linear()))
-        empty = PackedSample(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint8),
-                             np.zeros(0, dtype=np.uint8))
+        tokens = np.array([tok.bos, 1, 2, 3, 4], dtype=np.uint32)
+
+        def masks(n):
+            return np.zeros(n, dtype=np.uint8)
+
+        cases = [(PackedSample(tokens[:0], masks(0), masks(0)), "empty sample"),
+                 (PackedSample(tokens, masks(4), masks(5)), "mask lengths"),
+                 (PackedSample(tokens, masks(5), masks(3)), "mask lengths")]
         calls = []
         monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
-        args = (empty, [tok.encode("red")]) if entry == "continuation_losses" else (empty,)
-        with pytest.raises(ConfigMismatchError, match="empty sample"):
-            getattr(model, entry)(*args)
+        for sample, message in cases:
+            args = (sample, [tok.encode("red")]) if entry == "continuation_losses" else (sample,)
+            with pytest.raises(ConfigMismatchError, match=message):
+                getattr(model, entry)(*args)
         assert calls == []
 
     def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch):
@@ -764,7 +784,7 @@ class TestKVCache:
         """Greedy decoding by a full forward per token."""
         out = []
         for _ in range(max_new):
-            logits = model.forward(append_text(prefix, out, loss=False), pixels).logits
+            logits = model.forward(appended(prefix, out), pixels).logits
             nxt = int(np.argmax(logits[-1]))
             if nxt == ByteTokenizer().eos:
                 break
@@ -863,9 +883,9 @@ class TestKVCache:
             counts["fuse"] += 1
             return qkv_weights(*args)
 
-        def init(self, lengths):
+        def init(self, *args, **kwargs):
             counts["layout"] += 1
-            layout_init(self, lengths)
+            layout_init(self, *args, **kwargs)
 
         monkeypatch.setattr(model_module, "_qkv_weights", fuse)
         monkeypatch.setattr(_Layout, "__init__", init)
@@ -953,7 +973,7 @@ class TestLastBlockRows:
         model = Model(cfg)
         prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
         ids = [tok.encode(c) for c in ("red", "x", "a longer candidate")]
-        want = [model.sequence_loss(append_text(prefix, c, loss=True), pixels) for c in ids]
+        want = candidate_ce(model, prefix, ids, pixels)
         np.testing.assert_allclose(model.continuation_losses(prefix, ids, pixels), want,
                                    rtol=1e-12, atol=0)
         _, last = model.prefill(prefix, pixels)
@@ -981,14 +1001,10 @@ class TestLastBlockRows:
 
 class TestContinuationLosses:
     """Candidate ranking scores every continuation in one decoder pass, equal
-    to the uncached reference: `sequence_loss` of the appended sequence."""
+    to the uncached reference: the `forward` logits of the appended sequence."""
 
     # a 1-token candidate, equal-length duplicates and a long one
     CANDIDATES = ("red", "x", "blue", "gold", "blue", "a longer candidate")
-
-    @staticmethod
-    def reference(model, prefix, ids, pixels):
-        return [model.sequence_loss(append_text(prefix, c, loss=True), pixels) for c in ids]
 
     # the two-image sample, its BOS alone (the head reads row 0), and its
     # positions up to its last IMAGE row
@@ -1016,7 +1032,7 @@ class TestContinuationLosses:
         for kind in self.PREFIXES:
             prefix, pixels = self.prefix(kind, tok, cfg)
             losses = one_pass_losses(monkeypatch, model, prefix, ids, pixels)
-            np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
+            np.testing.assert_allclose(losses, candidate_ce(model, prefix, ids, pixels),
                                        rtol=1e-12, atol=0, err_msg=kind)
             # a continuation never attends over another, so order moves no bit
             reversed_ = model.continuation_losses(prefix, ids[::-1], pixels)[::-1]
@@ -1046,7 +1062,7 @@ class TestContinuationLosses:
                 logits = np.vstack([last, model.extend(kv, c)[:-1]])
                 cached.append(sum(float(ce) for ce in _xent_(logits, np.asarray(c))) / len(c))
             np.testing.assert_allclose(losses, cached, rtol=1e-12, atol=0, err_msg=kind)
-            np.testing.assert_allclose(losses, self.reference(model, prefix, ids, pixels),
+            np.testing.assert_allclose(losses, candidate_ce(model, prefix, ids, pixels),
                                        rtol=1e-6, atol=0, err_msg=kind)
             reversed_ = model.continuation_losses(prefix, ids[::-1], pixels)[::-1]
             assert np.array_equal(reversed_, losses), kind

@@ -12,7 +12,6 @@ from vlmforge.packing import (
     ByteTokenizer,
     ImageSlot,
     PackedSample,
-    append_text,
     bind_pixels,
     config_hash,
     pack_document,
@@ -156,22 +155,6 @@ class TestPackSft:
     def test_empty_prompt_rejected(self, tok):
         with pytest.raises(ValueError):
             pack_sft((None, "", "a"), tok, 4)
-
-
-class TestAppendText:
-    @pytest.mark.parametrize("loss", [True, False])
-    def test_loss_only_on_appended_tokens(self, tok, loss):
-        base = pack_sft(("img", "what? ", "yes"), tok, 4)  # carries loss of its own
-        out = append_text(base, tok.encode("no"), loss=loss)
-        L = len(base)
-        assert list(out.tokens) == list(base.tokens) + tok.encode("no")
-        assert out.tokens.dtype == np.uint32 and out.loss_mask.dtype == np.uint8
-        assert list(out.loss_mask) == [0] * L + [int(loss)] * 2
-        assert list(out.modality_mask) == list(base.modality_mask) + [TEXT] * 2
-        assert out.image_slots == base.image_slots
-        assert out.image_slots is not base.image_slots
-        assert out.stage_tag == base.stage_tag
-        out.validate()
 
 
 def random_samples(rng, n, tok):
