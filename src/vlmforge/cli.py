@@ -1,12 +1,15 @@
 """vlmforge command line: corpus, pack, train, diag, eval, fixture.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-The default seed comes from VLMFORGE_SEED when set.
+Only the commands that draw random numbers (`train run`, `eval run`,
+`fixture`) take `--seed`, whose default comes from VLMFORGE_SEED when set.
 
-`train run` stacks its ModelConfig from the ModelConfig defaults (with a
-preset's projector), the `--config` JSON (a full or partial ModelConfig
-object), the model flags and `--seed`, later ones winning. A `--plan` JSON
-lists StageSpec objects, whose absent optional keys take their defaults.
+The model's shape comes from one place, the `--config` JSON (a full or
+partial ModelConfig object): `train run` lays it over the ModelConfig
+defaults with a preset's projector, then sets the seed from `--seed`, and
+`pack run` packs with its slot length, max_positions and image geometry. A
+`--plan` JSON lists StageSpec objects, whose absent optional keys take
+their defaults.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -22,7 +26,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import diagnostics, evaluation, fixtures, manifest, packing, trainer
 from .errors import NumericError, VlmforgeError
-from .model import PROJECTORS, Model, ModelConfig, fields_from_json
+from .model import Model, ModelConfig, fields_from_json
 from .packing import ByteTokenizer
 
 
@@ -35,47 +39,33 @@ class Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("VLMFORGE_SEED", "0"))
-
-
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=_default_seed(),
+    # argparse converts a string default with `type`, so a bad VLMFORGE_SEED
+    # is a usage error of the seeded commands only
+    parser.add_argument("--seed", type=int, default=os.environ.get("VLMFORGE_SEED", "0"),
                         help="run seed (default: $VLMFORGE_SEED or 0)")
 
 
-# ModelConfig fields with a flag of their own; each flag's dest is the field name
-MODEL_FLAGS = ("resolution", "patch", "vision_dim", "model_dim", "ffn_dim",
-               "vision_layers", "llm_layers", "heads", "max_positions", "projector")
-
-
-def _add_model_flags(parser):
+def _add_config(parser):
     parser.add_argument("--config", type=Path, default=None,
-                        help="JSON ModelConfig object, partial allowed; flags override it")
-    parser.add_argument("--res", dest="resolution", metavar="RES", type=int, default=None,
-                        help="image resolution")
-    parser.add_argument("--patch", type=int, default=None, help="patch size")
-    parser.add_argument("--vision-dim", type=int, default=None)
-    parser.add_argument("--model-dim", type=int, default=None)
-    parser.add_argument("--ffn-dim", type=int, default=None)
-    parser.add_argument("--vision-layers", type=int, default=None)
-    parser.add_argument("--llm-layers", type=int, default=None)
-    parser.add_argument("--heads", type=int, default=None)
-    parser.add_argument("--max-positions", type=int, default=None)
-    parser.add_argument("--projector", choices=sorted(PROJECTORS), default=None)
+                        help="JSON ModelConfig object, partial allowed (default: ModelConfig's)")
 
 
 def _model_config(args, projector=None) -> ModelConfig:
-    """Stack `projector` (a preset's), the --config JSON, the model flags and
-    --seed over the ModelConfig defaults, later layers winning."""
+    """The --config JSON over `projector` (a preset's) and the ModelConfig
+    defaults, with --seed over all on a command that takes one."""
     fields = {} if projector is None else {"projector": dataclasses.asdict(projector)}
     if args.config is not None:
         with open(args.config) as fh:
             fields.update(fields_from_json(ModelConfig, json.load(fh)))
-    fields.update({name: getattr(args, name) for name in MODEL_FLAGS
-                   if getattr(args, name) is not None})
-    fields["seed"] = args.seed
+    if "seed" in args:
+        fields["seed"] = args.seed
     return ModelConfig.from_json(fields)
+
+
+def _shard_hash(cfg: ModelConfig) -> bytes:
+    """The config hash of shards packed for, and read by, a `cfg` model."""
+    return packing.config_hash(cfg.resolution, cfg.patch, cfg.downsample)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +91,7 @@ def cmd_corpus_to_pairs(args) -> int:
     pairs = [p for doc in docs for p in corpus_mod.to_pairs(doc, args.policy)]
     _write_jsonl(pairs, args.output, corpus_mod.pair_to_json)
     manifest.write_manifest(args.output, "corpus to-pairs",
-                            {"policy": args.policy}, args.seed,
+                            {"policy": args.policy}, None,
                             [args.input], [args.output])
     print(f"wrote {len(pairs)} pairs to {args.output}")
     return 0
@@ -111,7 +101,7 @@ def cmd_corpus_reformat(args) -> int:
     docs = corpus_mod.parse_corpus(args.input, "interleaved-jsonl", strict=args.strict)
     reordered = [corpus_mod.reformat_images_first(doc) for doc in docs]
     _write_jsonl(reordered, args.output, corpus_mod.document_to_json)
-    manifest.write_manifest(args.output, "corpus reformat", {}, args.seed,
+    manifest.write_manifest(args.output, "corpus reformat", {}, None,
                             [args.input], [args.output])
     print(f"wrote {len(reordered)} documents to {args.output}")
     return 0
@@ -123,7 +113,7 @@ def cmd_corpus_topk(args) -> int:
     pairs = corpus_mod.parse_corpus(args.input, "pairs-jsonl", strict=args.strict)
     kept = corpus_mod.subsample_topk(pairs, args.k)
     _write_jsonl(kept, args.output, corpus_mod.pair_to_json)
-    manifest.write_manifest(args.output, "corpus topk", {"k": args.k}, args.seed,
+    manifest.write_manifest(args.output, "corpus topk", {"k": args.k}, None,
                             [args.input], [args.output])
     print(f"kept top {len(kept)} pairs in {args.output}")
     return 0
@@ -151,25 +141,16 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_pack_run(args) -> int:
+    cfg = _model_config(args)
     tok = ByteTokenizer()
-    slot = packing.tokens_per_image(args.res, args.patch, args.downsample)
-    stream = corpus_mod.parse_corpus(args.docs, args.format, strict=args.strict)
+    docs = corpus_mod.parse_corpus(args.docs, args.format, strict=args.strict)
     if args.format == "pairs-jsonl":
-        docs = (corpus_mod.pair_as_document(p) for p in stream)
-    else:
-        docs = stream
-
-    def samples():
-        for doc in docs:
-            yield from packing.pack_document(doc, tok, slot, args.max_len)
-
-    cfg_hash = packing.config_hash(args.res, args.patch, args.downsample)
-    count = packing.write_shard(samples(), args.out_shard, tok.vocab_hash(), cfg_hash)
-    manifest.write_manifest(
-        args.out_shard, "pack run",
-        {"max_len": args.max_len, "res": args.res, "patch": args.patch,
-         "downsample": args.downsample},
-        args.seed, [args.docs], [args.out_shard])
+        docs = map(corpus_mod.pair_as_document, docs)
+    samples = (sample for doc in docs for sample in
+               packing.pack_document(doc, tok, cfg.slot_length, cfg.max_positions))
+    count = packing.write_shard(samples, args.out_shard, tok.vocab_hash(), _shard_hash(cfg))
+    manifest.write_manifest(args.out_shard, "pack run", cfg.to_json(), None,
+                            [args.docs], [args.out_shard])
     print(f"packed {count} samples into {args.out_shard}")
     return 0
 
@@ -312,7 +293,7 @@ def cmd_train_compare_loss(args) -> int:
     if args.out:
         _write_output(args.out, text + "\n")
         manifest.write_manifest(args.out, "train compare-loss",
-                                {"final_window": args.final_window}, args.seed,
+                                {"final_window": args.final_window}, None,
                                 [args.log_a, args.log_b], [args.out])
     return 0
 
@@ -326,18 +307,13 @@ def cmd_diag_align(args) -> int:
         raise VlmforgeError(f"--max-samples must be at least 1, not {args.max_samples}")
     model = Model.load_checkpoint(args.ckpt)
     tok = ByteTokenizer()
-    cfg_hash = packing.config_hash(model.cfg.resolution, model.cfg.patch,
-                                   model.cfg.downsample)
-    samples = []
-    for sample in packing.read_shard(args.shard, tok.vocab_hash(), cfg_hash):
-        samples.append(sample)
-        if len(samples) >= args.max_samples:
-            break
+    shard = packing.read_shard(args.shard, tok.vocab_hash(), _shard_hash(model.cfg))
+    samples = list(itertools.islice(shard, args.max_samples))
     pixels = packing.bind_pixels(samples, model.cfg.resolution)
     profile = diagnostics.alignment_profile(model, samples, pixels)
     _write_output(args.out, profile.to_csv())
     manifest.write_manifest(args.out, "diag align", {},
-                            args.seed, [args.ckpt, args.shard], [args.out])
+                            None, [args.ckpt, args.shard], [args.out])
     print(f"wrote {len(profile.per_layer)}-layer profile to {args.out}")
     return 0
 
@@ -378,14 +354,12 @@ def build_parser() -> Parser:
     p.add_argument("output")
     p.add_argument("--policy", choices=["best-sim", "adjacent-next"], default="best-sim")
     p.add_argument("--strict", action="store_true")
-    _add_seed(p)
     p.set_defaults(func=cmd_corpus_to_pairs)
 
     p = corpus_sub.add_parser("reformat", help="move all images before all text")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--strict", action="store_true")
-    _add_seed(p)
     p.set_defaults(func=cmd_corpus_reformat)
 
     p = corpus_sub.add_parser("topk", help="keep the k highest-scoring pairs")
@@ -393,7 +367,6 @@ def build_parser() -> Parser:
     p.add_argument("output")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--strict", action="store_true")
-    _add_seed(p)
     p.set_defaults(func=cmd_corpus_topk)
 
     pack_p = sub.add_parser("pack", help="pack corpora into binary shards")
@@ -401,16 +374,10 @@ def build_parser() -> Parser:
     p = pack_sub.add_parser("run", help="pack a corpus file into a shard")
     p.add_argument("docs")
     p.add_argument("out_shard")
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--res", type=int, default=ModelConfig.resolution,
-                   help="image resolution (default: ModelConfig's)")
-    p.add_argument("--patch", type=int, default=ModelConfig.patch,
-                   help="patch size (default: ModelConfig's)")
-    p.add_argument("--downsample", type=int, choices=[1, 2], default=1)
+    _add_config(p)
     p.add_argument("--format", choices=["interleaved-jsonl", "pairs-jsonl"],
                    default="interleaved-jsonl")
     p.add_argument("--strict", action="store_true")
-    _add_seed(p)
     p.set_defaults(func=cmd_pack_run)
 
     train_p = sub.add_parser("train", help="staged training")
@@ -425,7 +392,7 @@ def build_parser() -> Parser:
                    help="per-stage step counts, comma separated")
     p.add_argument("--batch-size", type=int, default=trainer.StageSpec.batch_size)
     p.add_argument("--eval-items", type=int, default=16)
-    _add_model_flags(p)
+    _add_config(p)
     _add_seed(p)
     p.set_defaults(func=cmd_train_run)
 
@@ -435,7 +402,6 @@ def build_parser() -> Parser:
     p.add_argument("--final-window", type=int, default=inspect.signature(
         trainer.compare_loss_curves).parameters["final_window"].default)
     p.add_argument("--out", default=None)
-    _add_seed(p)
     p.set_defaults(func=cmd_train_compare_loss)
 
     diag_p = sub.add_parser("diag", help="diagnostics")
@@ -445,7 +411,6 @@ def build_parser() -> Parser:
     p.add_argument("--shard", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-samples", type=int, default=32)
-    _add_seed(p)
     p.set_defaults(func=cmd_diag_align)
 
     eval_p = sub.add_parser("eval", help="in-context evaluation")

@@ -114,7 +114,16 @@ class CorpusStats:
         }
 
 
+def _score(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CorpusFormatError(f"{what} must be a number, not {value!r}") from None
+
+
 def _segment_from_json(obj: dict) -> Segment:
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"a segment must be a JSON object, not {obj!r}")
     if "text" in obj:
         if not isinstance(obj["text"], str):
             raise CorpusFormatError("segment 'text' must be a string")
@@ -124,7 +133,9 @@ def _segment_from_json(obj: dict) -> Segment:
             raise CorpusFormatError("segment 'image_id' must be a string")
         sims = obj.get("sim_scores")
         if sims is not None:
-            sims = {int(k): float(v) for k, v in sims.items()}
+            if not isinstance(sims, dict):
+                raise CorpusFormatError(f"'sim_scores' must be a JSON object, not {sims!r}")
+            sims = {int(k): _score(v, "a sim score") for k, v in sims.items()}
         return ImageSegment(obj["image_id"], sims)
     raise CorpusFormatError("segment needs 'text' or 'image_id'")
 
@@ -150,7 +161,7 @@ def _pair_from_json(obj: dict) -> PairSample:
             raise CorpusFormatError(f"pair record is missing string {key!r}")
     if "clip_score" not in obj:
         raise CorpusFormatError("pair record is missing 'clip_score'")
-    score = float(obj["clip_score"])
+    score = _score(obj["clip_score"], "'clip_score'")
     if not math.isfinite(score):
         raise CorpusFormatError(f"clip_score is not finite: {obj['clip_score']!r}")
     return PairSample(obj["image_id"], obj["caption"], score)

@@ -46,7 +46,7 @@ def atomic_open(target, mode: str = "w"):
         raise
 
 
-def write_manifest(anchor_path, command: str, config: dict, seed: int,
+def write_manifest(anchor_path, command: str, config: dict, seed: int | None,
                    inputs: list, outputs: list) -> str:
     """Atomically write `<anchor>.manifest.json` beside the anchor output."""
     manifest = {

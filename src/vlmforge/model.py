@@ -566,6 +566,13 @@ def _xent_(logits, targets):
     return np.log(z) - picked
 
 
+def _check_binary(mask, name):
+    """A batch's flat modality or loss mask holds only 0 and 1: another value
+    would weigh a target, or mark a position as neither text nor image."""
+    if ((mask != 0) & (mask != 1)).any():
+        raise ConfigMismatchError(f"{name} mask holds values other than 0 and 1")
+
+
 def _sample_means(owner, ce, weights, n):
     """Each of `n` samples' weighted mean of the per-row losses `ce`, row i
     belonging to sample owner[i]; 0 for a sample whose rows weigh nothing."""
@@ -585,6 +592,7 @@ class _Pass:
     layout: _Layout
     tokens: np.ndarray  # (N,) int64 token ids, flat
     text: np.ndarray  # (N,) bool, TEXT positions
+    scored: tuple | None  # a scoring pass's (rows, targets, weights)
     # final-LN output, the head's input: (N, model_dim), or in a pass with a
     # KVCache the rows from the cached sequence's last one on
     normed: np.ndarray
@@ -851,11 +859,13 @@ class Model:
                 )
 
     def _forward(self, samples: list[PackedSample], pixels, train: bool,
-                 kv: KVCache | None = None) -> _Pass:
+                 kv: KVCache | None = None, scored: bool = False) -> _Pass:
         """Embed, merge the images in, and run the decoder over a whole batch.
 
         A training pass keeps what backward needs; any other pass keeps the
-        hidden states instead. Given an empty KVCache, the pass is the first
+        hidden states instead. A scored pass picks its scored rows first, so
+        a bad loss mask is refused, as a bad modality mask is, before any
+        block runs. Given an empty KVCache, the pass is the first
         sample's prefill, and every later sample continues that one, as a
         layout with that sample as its prefix lays them out. The head then
         reads only the first sample's last row, which predicts what follows
@@ -869,7 +879,10 @@ class Model:
         lengths = [len(s) for s in samples]
         layout = _Layout(lengths) if kv is None else _Layout(lengths[1:], prefix=lengths[0])
         tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64)
-        text = np.concatenate([s.modality_mask for s in samples]) == TEXT
+        modality = np.concatenate([s.modality_mask for s in samples])
+        _check_binary(modality, "modality")
+        text = modality == TEXT
+        score = self._scored_rows(samples, tokens) if scored else None
         x = p["embed.tok"][tokens]
         images = None
         image_ids = list(dict.fromkeys(
@@ -895,8 +908,8 @@ class Model:
         first = 0 if kv is None else lengths[0] - 1
         normed, final_ln, kept = self._decode(x, layout, train, kv, first)
         if train:
-            return _Pass(layout, tokens, text, normed, final_ln, kept, images, [])
-        return _Pass(layout, tokens, text, normed, final_ln, [], None, kept)
+            return _Pass(layout, tokens, text, score, normed, final_ln, kept, images, [])
+        return _Pass(layout, tokens, text, score, normed, final_ln, [], None, kept)
 
     def _decode(self, x, layout: _Layout, train: bool, kv: KVCache | None = None,
                 first: int = 0):
@@ -950,18 +963,20 @@ class Model:
 
     # -- loss and gradients
 
-    def _scored_rows(self, samples, fw: _Pass):
+    def _scored_rows(self, samples, tokens):
         """The flat rows that carry loss, their targets and their weights.
 
-        Row r predicts the token at r + 1, the target, and weighs as that
-        position's loss mask. The batch's one loss mask has each sample's
-        first position zeroed, so a sample's last row predicts nothing.
+        Row r predicts the token at r + 1 of the flat `tokens`, the target,
+        and weighs as that position's loss mask. The batch's one loss mask
+        has each sample's first position zeroed, so a sample's last row
+        predicts nothing.
         """
         lengths = [len(s) for s in samples]
         mask = np.concatenate([s.loss_mask for s in samples])
+        _check_binary(mask, "loss")
         mask[np.cumsum(lengths) - lengths] = 0
         rows = np.flatnonzero(mask[1:])
-        return rows, fw.tokens[rows + 1], mask[rows + 1].astype(np.float64)
+        return rows, tokens[rows + 1], mask[rows + 1].astype(np.float64)
 
     def _head_xent(self, normed, targets):
         """The head's logits on the final-LN rows `normed`, and each row's
@@ -990,8 +1005,8 @@ class Model:
         train = set(PARAM_GROUPS if trainable is None else trainable)
         grads = {name: np.zeros_like(arr) for name, arr in self.params.items()
                  if self.group_of(name) in train}
-        fw = self._forward(samples, pixels, train=True)
-        rows, targets, weights = self._scored_rows(samples, fw)
+        fw = self._forward(samples, pixels, train=True, scored=True)
+        rows, targets, weights = fw.scored
         total = float(weights.sum())
         if total == 0.0:
             logger.warning("loss_and_grads: batch has no loss-masked positions")
@@ -1043,8 +1058,8 @@ class Model:
         per-sample means. A sample with no masked position scores 0.
         """
         samples = [sample] if isinstance(sample, PackedSample) else list(sample)
-        fw = self._forward(samples, pixels, train=False)
-        rows, targets, weights = self._scored_rows(samples, fw)
+        fw = self._forward(samples, pixels, train=False, scored=True)
+        rows, targets, weights = fw.scored
         ce, _ = self._head_xent(fw.normed[rows], targets)
         owner = np.repeat(np.arange(len(samples)), [len(s) for s in samples])[rows]
         losses = _sample_means(owner, ce, weights, len(samples))

@@ -55,9 +55,15 @@ class StageSpec:
     def __post_init__(self):
         self.steps, self.batch_size = int(self.steps), int(self.batch_size)
         self.lr, self.text_only_fraction = float(self.lr), float(self.text_only_fraction)
-        for key, value in (("steps", self.steps), ("batch_size", self.batch_size)):
-            if value < 1:
-                raise VlmforgeError(f"stage {self.name!r}: {key} must be at least 1, not {value}")
+        for key, ok, rule in (
+                ("steps", self.steps >= 1, "at least 1"),
+                ("batch_size", self.batch_size >= 1, "at least 1"),
+                ("warmup", self.warmup is None or self.warmup >= 0, "at least 0"),
+                ("lr", math.isfinite(self.lr) and self.lr >= 0, "finite and at least 0"),
+                ("text_only_fraction", 0 <= self.text_only_fraction <= 1, "in [0, 1]")):
+            if not ok:
+                raise VlmforgeError(
+                    f"stage {self.name!r}: {key} must be {rule}, not {getattr(self, key)}")
 
     def warmup_steps(self) -> int:
         if self.warmup is not None:

@@ -1,6 +1,10 @@
+import argparse
 import inspect
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,16 @@ def corpora(tmp_path):
     spec = FixtureSpec(n_docs=12, images_per_doc=2, tokens_per_image=16,
                        n_pairs=40, pair_caption_lengths=(10, 11), seed=1)
     return fixture_gen(spec, tmp_path / "fix")
+
+
+def leaf_parsers(parser, name=""):
+    """(command name, parser) for every command that runs."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield name, parser
+    for action in subs:
+        for word, sub in action.choices.items():
+            yield from leaf_parsers(sub, f"{name} {word}".strip())
 
 
 class TestParsing:
@@ -56,6 +70,32 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["fixture"])  # --out-dir required
         assert exc.value.code == 1
+
+    def test_each_setting_has_one_way_in(self):
+        """48 arguments in all; --seed only where a seed is drawn, and the
+        model's shape only from --config."""
+        commands = dict(leaf_parsers(build_parser()))
+        options = {name: {o for a in p._actions for o in a.option_strings or [a.dest]}
+                   - {"-h", "--help"} for name, p in commands.items()}
+        assert sum(map(len, options.values())) == 48
+        assert {name for name, opts in options.items() if "--seed" in opts} \
+            == {"train run", "eval run", "fixture"}
+        assert options["pack run"] == {"docs", "out_shard", "--config", "--format", "--strict"}
+        assert options["train run"] == {"--plan", "--preset", "--corpus-a", "--corpus-b",
+                                        "--out", "--steps", "--batch-size", "--eval-items",
+                                        "--config", "--seed"}
+
+    def test_readme_commands_parse(self):
+        """Every `vlmforge ...` line in the README's sh blocks is one the
+        parser takes."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("vlmforge ")]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            assert hasattr(parser.parse_args(shlex.split(line)[1:]), "func"), line
 
 
 class TestCorpusCommands:
@@ -108,8 +148,7 @@ class TestCorpusCommands:
 class TestPipeline:
     def test_pack_diag_eval_roundtrip(self, corpora, tmp_path, capsys):
         shard = tmp_path / "docs.shard"
-        rc = main(["pack", "run", str(corpora["interleaved"]), str(shard),
-                   "--max-len", "96", "--res", "16", "--patch", "8"])
+        rc = main(["pack", "run", str(corpora["interleaved"]), str(shard)])
         assert rc == 0
         assert shard.exists()
         assert (tmp_path / "docs.shard.manifest.json").exists()
@@ -197,15 +236,26 @@ class TestPipeline:
         assert rc == 2
 
     def test_seed_env_default(self, corpora, tmp_path, monkeypatch):
-        import importlib
-        import vlmforge.cli as cli
-
+        """The seeded commands take VLMFORGE_SEED; the others record no seed."""
         monkeypatch.setenv("VLMFORGE_SEED", "42")
-        out = tmp_path / "p.jsonl"
-        rc = cli.main(["corpus", "to-pairs", str(corpora["interleaved"]), str(out)])
+        rc = main(["fixture", "--out-dir", str(tmp_path / "fix"), "--n-docs", "2",
+                   "--n-pairs", "2"])
         assert rc == 0
-        mani = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
+        mani = json.loads((tmp_path / "fix" / "interleaved.jsonl.manifest.json").read_text())
         assert mani["seed"] == 42
+        out = tmp_path / "p.jsonl"
+        assert main(["corpus", "to-pairs", str(corpora["interleaved"]), str(out)]) == 0
+        assert json.loads((tmp_path / "p.jsonl.manifest.json").read_text())["seed"] is None
+
+    def test_bad_seed_env_stops_only_seeded_commands(self, corpora, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.setenv("VLMFORGE_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["fixture", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["corpus", "stats", str(corpora["interleaved"])]) == 0
 
 
 def test_eval_run_four_shot_exact_match(tmp_path, capsys):
@@ -230,7 +280,7 @@ def test_eval_run_four_shot_exact_match(tmp_path, capsys):
 
 class TestModelConfigSources:
     """train run builds its ModelConfig from ModelConfig's defaults, a preset's
-    projector, --config, the model flags and --seed, later layers winning."""
+    projector, --config and --seed, later layers winning."""
 
     @staticmethod
     def run(corpora, out, *extra):
@@ -263,12 +313,12 @@ class TestModelConfigSources:
         got = self.run(corpora, tmp_path / "s", "--preset", "d", "--config", cfg)
         assert got.projector == Downsample(factor=1)
 
-    def test_flags_override_config(self, corpora, tmp_path):
-        cfg = self.write_json(tmp_path / "c.json",
-                              {"model_dim": 48, "llm_layers": 1, "projector": "downsample"})
+    def test_seed_overrides_config(self, corpora, tmp_path):
+        cfg = self.write_json(tmp_path / "c.json", {"model_dim": 48, "llm_layers": 1,
+                                                    "projector": "linear", "seed": 9})
         got = self.run(corpora, tmp_path / "c", "--preset", "d", "--config", cfg,
-                       "--model-dim", "64", "--projector", "linear", "--seed", "2")
-        assert got == ModelConfig(model_dim=64, llm_layers=1, seed=2)
+                       "--seed", "2")
+        assert got == ModelConfig(model_dim=48, llm_layers=1, seed=2)
 
 
 class TestBadInputsExit2:
@@ -278,6 +328,9 @@ class TestBadInputsExit2:
         {"stages": [{"name": "pretrain", "policy": ["llm"], "steps": 1, "lr": 0.01,
                      "epochs": 2}]},
         {"steps": 1},
+        *({"stages": [{"name": "sft", "policy": ["llm"], "steps": 1, "lr": 0.01, key: value}]}
+          for key, value in (("warmup", -5), ("text_only_fraction", 1.5),
+                             ("lr", float("nan")), ("lr", -0.01))),
     ])
     def test_bad_plan(self, corpora, tmp_path, plan):
         path = tmp_path / "plan.json"
@@ -406,10 +459,12 @@ class TestBadCountsExit2:
         assert rc == 2
         assert "steps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--heads", "0"), ("--model-dim", "-4")])
-    def test_model_size_below_one(self, corpora, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("key,value", [("heads", 0), ("model_dim", -4)])
+    def test_model_size_below_one(self, corpora, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
         rc = main(["train", "run", "--preset", "d", "--corpus-b", str(corpora["pairs"]),
-                   "--out", str(tmp_path / "o"), "--steps", "1,1,1", flag, value])
+                   "--out", str(tmp_path / "o"), "--steps", "1,1,1", "--config", str(cfg)])
         assert rc == 2
         assert f"must be at least 1, not {value}" in capsys.readouterr().err
 
@@ -491,14 +546,29 @@ class TestShards:
                      "--out", str(tmp_path / "a.csv")])
 
     @staticmethod
-    def pack(corpora, tmp_path):
+    def pack(corpora, tmp_path, *extra):
         shard = tmp_path / "d.shard"
-        assert main(["pack", "run", str(corpora["interleaved"]), str(shard),
-                     "--max-len", "96"]) == 0
+        assert main(["pack", "run", str(corpora["interleaved"]), str(shard), *extra]) == 0
         return shard
 
     def test_default_geometry_fits_default_model(self, corpora, tmp_path):
         assert self.align(tmp_path, self.pack(corpora, tmp_path)) == 0
+
+    def test_config_geometry_fits_its_model(self, corpora, tmp_path):
+        """A shard packed with a model's --config is one that model reads,
+        a 4x downsampling projector's included."""
+        obj = {"resolution": 32, "projector": {"kind": "downsample", "factor": 4}}
+        config = tmp_path / "m.json"
+        config.write_text(json.dumps(obj))
+        shard = self.pack(corpora, tmp_path, "--config", str(config))
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig.from_json(obj)).save_checkpoint(ckpt)
+        assert main(["diag", "align", "--ckpt", str(ckpt), "--shard", str(shard),
+                     "--out", str(tmp_path / "a.csv")]) == 0
+        recorded = json.loads((tmp_path / "d.shard.manifest.json").read_text())["config"]
+        assert ModelConfig.from_json(recorded) == ModelConfig.from_json(obj)
+        # the default model's geometry differs: its hash refuses the shard
+        assert self.align(tmp_path, shard) == 2
 
     @pytest.mark.parametrize("offset,value,message", [
         (80, (10**6).to_bytes(4, "little"), "buffer is smaller"),  # sample length
@@ -612,7 +682,7 @@ class TestOutputsReplacedAtomically:
         lines = corpora["interleaved"].read_text().splitlines(keepends=True)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(lines[:3]) + '{"doc_id": 5}\n' + "".join(lines[3:]))
-        assert main(["pack", "run", str(bad), str(shard), "--max-len", "96", "--strict"]) == 2
+        assert main(["pack", "run", str(bad), str(shard), "--strict"]) == 2
         assert "error" in capsys.readouterr().err
         assert shard.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))

@@ -81,6 +81,29 @@ class TestParseCorpus:
         pairs = list(parse_corpus(path, "pairs-jsonl"))
         assert pairs == [PairSample("i0", "a cat", 0.5)]
 
+    @pytest.mark.parametrize("format,line", [
+        ("interleaved-jsonl",
+         '{"doc_id":"d","segments":[{"image_id":"x","sim_scores":[1]},{"text":"hi"}]}'),
+        ("interleaved-jsonl", '{"doc_id":"d","segments":["text here"]}'),
+        ("interleaved-jsonl",
+         '{"doc_id":"d","segments":[{"image_id":"x","sim_scores":{"1":null}},{"text":"hi"}]}'),
+        ("pairs-jsonl", '{"image_id":"a","caption":"b","clip_score":null}'),
+    ], ids=["sim-scores-list", "segment-string", "sim-score-null", "clip-score-null"])
+    def test_wrongly_typed_value_is_schema_error(self, tmp_path, caplog, format, line):
+        """Skipped with its line number, or raised with it under strict, as
+        every other malformed line is."""
+        good = ('{"doc_id":"d0","segments":[{"text":"a"}]}' if format == "interleaved-jsonl"
+                else '{"image_id":"i0","caption":"a","clip_score":"0.5"}')
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [good, line])
+        with caplog.at_level(logging.WARNING, logger="vlmforge.corpus"):
+            assert len(list(parse_corpus(path, format))) == 1
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skipped) == 1 and ":line 2:" in skipped[0]
+        with pytest.raises(CorpusFormatError) as err:
+            list(parse_corpus(path, format, strict=True))
+        assert err.value.line_no == 2
+
     def test_non_finite_clip_score_is_schema_error(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_lines(path, ['{"image_id":"i0","caption":"a","clip_score":NaN}'])

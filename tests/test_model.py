@@ -254,7 +254,7 @@ class TestLossAndGrads:
         one = np.zeros(1, dtype=np.uint8)
         batch.insert(2, PackedSample(np.array([tok.bos], dtype=np.uint32), one, one))
         model = Model(cfg)
-        rows, targets, weights = model._scored_rows(batch, model._forward(batch, pixels, False))
+        rows, targets, weights = model._forward(batch, pixels, False, scored=True).scored
         want = {"rows": [], "targets": [], "weights": []}
         offset = 0
         for sample in batch:
@@ -670,17 +670,24 @@ class TestBatchedPath:
     @pytest.mark.parametrize("entry", ["prefill", "generate", "continuation_losses",
                                        "sequence_loss", "loss_and_grads"])
     def test_empty_sample_rejected_before_any_block(self, tok, monkeypatch, entry):
-        """An empty sample, and one whose masks are not as long as its
-        tokens, would otherwise decode nothing or score misaligned rows."""
+        """An empty sample, one whose masks are not as long as its tokens,
+        and one whose masks hold a value other than 0 and 1 would otherwise
+        decode nothing, score misaligned rows, weigh a target twice or drop
+        a text position's embedding gradient."""
         model = Model(self.cfg(Linear()))
         tokens = np.array([tok.bos, 1, 2, 3, 4], dtype=np.uint32)
 
-        def masks(n):
-            return np.zeros(n, dtype=np.uint8)
+        def masks(n, *values):
+            return np.array(values or [0] * n, dtype=np.uint8)
 
         cases = [(PackedSample(tokens[:0], masks(0), masks(0)), "empty sample"),
                  (PackedSample(tokens, masks(4), masks(5)), "mask lengths"),
-                 (PackedSample(tokens, masks(5), masks(3)), "mask lengths")]
+                 (PackedSample(tokens, masks(5), masks(3)), "mask lengths"),
+                 (PackedSample(tokens, masks(5, 0, 3, 0, 0, 0), masks(5, 0, 1, 1, 1, 1)),
+                  "modality mask holds")]
+        if entry in ("sequence_loss", "loss_and_grads"):  # the entries that read a loss mask
+            cases.append((PackedSample(tokens, masks(5), masks(5, 0, 2, 1, 1, 1)),
+                          "loss mask holds"))
         calls = []
         monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
         for sample, message in cases:
