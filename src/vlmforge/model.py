@@ -33,9 +33,11 @@ rows through the blocks: they take positions from the cache's length P on,
 write their keys and values at P.. and attend over [:P+n]. `generate`
 checks its prefix and max_new once, then steps one row at a time: each
 step reuses one shared one-row layout and adds no causal mask, since a
-row at the cache's end sees every cached position. Candidate ranking
-continues one prefix by every candidate in a single pass: the prefix is its
-first sequence, decoded as a prefill, and each group of equal-length
+row at the cache's end sees every cached position, and its LayerNorms, as
+any on one row, take the row's mean and inverse deviation as scalars, not
+(1, 1) arrays (`_ln_fwd`). Candidate ranking continues one prefix by
+every candidate in a single pass: the prefix is its first sequence,
+decoded as a prefill, and each group of equal-length
 candidates attends as one (B_g, H, L, P+L) block over the prefix's cached
 keys and values and its own rows, never over another candidate's.
 A prefill's head reads only the prefix's last row, and ranking's that row
@@ -349,7 +351,7 @@ class _Layout:
 
 def _mean_last(a):
     """a.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's
-    Python overhead, which dominates on the (1, D) rows of a decode step."""
+    Python overhead."""
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
@@ -357,10 +359,26 @@ LN_EPS = 1e-5  # LayerNorm's variance floor
 
 
 def _ln_fwd(x, g, b):
-    mu = _mean_last(x)
-    xc = x - mu
-    var = _mean_last(xc * xc)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    """LayerNorm over the last axis of flat (N, D) rows; returns the output
+    and the backward cache (xhat, inv, g), inv being 1 / sqrt(var + LN_EPS).
+
+    A single row, as in every decode step, takes its mean and inv as scalars
+    of its dtype rather than (1, 1) arrays: the same operations, bit for
+    bit, without five ufunc calls' overhead on one element each, which made
+    LayerNorm the largest cost of a decode step. `_ln_bwd` takes either."""
+    if len(x) == 1:
+        t, D = x.dtype.type, x.shape[1]
+        mu = np.add.reduce(x, -1)[0] / D
+        xc = x - mu
+        var = np.add.reduce(xc * xc, -1)[0] / D
+        # eps as a t, so that numpy 1.x adds in t as the array path does; a
+        # double sqrt rounded to float32 is float32's own, correctly rounded one
+        inv = t(1.0) / t(math.sqrt(var + t(LN_EPS)))
+    else:
+        mu = _mean_last(x)
+        xc = x - mu
+        var = _mean_last(xc * xc)
+        inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
 
@@ -857,6 +875,10 @@ class Model:
                 raise ConfigMismatchError(
                     f"slot length {slot.length} != model slot length {cfg.slot_length}"
                 )
+            if slot.start < 0 or slot.start + slot.length > len(sample):
+                raise ConfigMismatchError(
+                    f"image slot {slot.image_id!r} at {slot.start} leaves the sample's "
+                    f"{len(sample)} positions")
 
     def _forward(self, samples: list[PackedSample], pixels, train: bool,
                  kv: KVCache | None = None, scored: bool = False) -> _Pass:
@@ -865,12 +887,13 @@ class Model:
         A training pass keeps what backward needs; any other pass keeps the
         hidden states instead. A scored pass picks its scored rows first, so
         a bad loss mask is refused, as a bad modality mask is, before any
-        block runs. Given an empty KVCache, the pass is the first
-        sample's prefill, and every later sample continues that one, as a
-        layout with that sample as its prefix lays them out. The head then
-        reads only the first sample's last row, which predicts what follows
-        it, and the later samples' rows, so the decoder's output starts at
-        that row.
+        block runs; so are IMAGE positions that are not exactly the rows of
+        the image slots, each covered once. Given an empty KVCache, the pass
+        is the first sample's prefill, and every later sample continues that
+        one, as a layout with that sample as its prefix lays them out. The
+        head then reads only the first sample's last row, which predicts
+        what follows it, and the later samples' rows, so the decoder's
+        output starts at that row.
         """
         pixels = pixels or {}
         for sample in samples:
@@ -883,23 +906,26 @@ class Model:
         _check_binary(modality, "modality")
         text = modality == TEXT
         score = self._scored_rows(samples, tokens) if scored else None
-        x = p["embed.tok"][tokens]
-        images = None
         image_ids = list(dict.fromkeys(
             slot.image_id for s in samples for slot in s.image_slots))
+        index = {image_id: k for k, image_id in enumerate(image_ids)}
+        S = cfg.slot_length
+        dst, src, offset = [], [], 0
+        for s in samples:
+            for slot in s.image_slots:
+                dst.append(offset + slot.start)
+                src.append(index[slot.image_id] * S)
+            offset += len(s)
+        dst = (np.asarray(dst, dtype=np.int64)[:, None] + np.arange(S)).ravel()
+        if (np.bincount(dst, minlength=len(tokens)) != modality).any():  # IMAGE rows: one slot each
+            raise ConfigMismatchError("IMAGE positions are not exactly the image slots' "
+                                      "positions, each covered once")
+        x = p["embed.tok"][tokens]
+        images = None
         if image_ids:
             stack = np.stack([pixels[i] for i in image_ids])
             enc, enc_cache = self.encode_image(stack, with_cache=True)
             proj, proj_cache = self.project(enc, with_cache=True)
-            index = {image_id: k for k, image_id in enumerate(image_ids)}
-            S = cfg.slot_length
-            dst, src, offset = [], [], 0
-            for s in samples:
-                for slot in s.image_slots:
-                    dst.append(offset + slot.start)
-                    src.append(index[slot.image_id] * S)
-                offset += len(s)
-            dst = (np.asarray(dst)[:, None] + np.arange(S)).ravel()
             src = (np.asarray(src)[:, None] + np.arange(S)).ravel()
             x[dst] = proj.reshape(-1, cfg.model_dim)[src]
             if train:
@@ -1139,20 +1165,20 @@ class Model:
         """Greedy continuation; stops at EOS (id vocab-specific: 257).
 
         The prefix and max_new are checked once, and the prefix is prefilled
-        once. Each new token then extends the cache by one position without
-        `extend`'s checks: it is an argmax over the vocabulary, and the
-        check on max_new made room for it.
+        once, even for max_new 0, so that every prefix `prefill` refuses is
+        refused here too. Each new token then extends the cache by one
+        position without `extend`'s checks: it is an argmax over the
+        vocabulary, and the check on max_new made room for it.
         """
         eos = ByteTokenizer().eos
         if max_new < 0:
             raise ConfigMismatchError(f"max_new must be at least 0, not {max_new}")
         if len(prefix) + max_new > self.cfg.max_positions:
             raise ConfigMismatchError("prefix + max_new exceeds max_positions")
+        kv, logits = self.prefill(prefix, pixels)
         out: list[int] = []
         for step in range(max_new):
-            if step == 0:
-                kv, logits = self.prefill(prefix, pixels)
-            else:
+            if step:
                 logits = self._extend(kv, out[-1:])[0]
             nxt = int(logits.argmax())
             if nxt == eos:

@@ -2,12 +2,14 @@ import ctypes
 import dataclasses
 import json
 import platform
+import re
 import resource
 import struct
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import appended, candidate_ce, masked_mean_ce, next_token_targets
 
 from vlmforge import evaluation
@@ -285,14 +287,8 @@ class TestLossAndGrads:
             elif group == "head":
                 assert np.any(g != 0.0), name
 
-    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
-    def test_finite_difference_all_groups(self, tok, variant):
-        cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=16,
-                          ffn_dim=32, vision_layers=1, llm_layers=1, heads=2,
-                          projector=variant, max_positions=48, seed=5)
-        model = Model(cfg)
-        sample = make_sample(tok, cfg, "grad check!", image_ids=("a", "b"))
-        pixels = bind_pixels([sample], 16)
+    @staticmethod
+    def assert_matches_finite_differences(model, sample, pixels):
         _, grads = model.loss_and_grads(sample, pixels)
         rng = np.random.default_rng(42)
         eps = 1e-5
@@ -313,6 +309,25 @@ class TestLossAndGrads:
                 denom = max(abs(fd), abs(an), 1e-7)
                 assert abs(fd - an) / denom < 1e-3, (name, idx, fd, an)
 
+    @pytest.mark.parametrize("variant", [Linear(), TransformerBlockProjector(2), Downsample(2)])
+    def test_finite_difference_all_groups(self, tok, variant):
+        cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=16,
+                          ffn_dim=32, vision_layers=1, llm_layers=1, heads=2,
+                          projector=variant, max_positions=48, seed=5)
+        sample = make_sample(tok, cfg, "grad check!", image_ids=("a", "b"))
+        self.assert_matches_finite_differences(Model(cfg), sample, bind_pixels([sample], 16))
+
+    def test_finite_difference_with_one_row_vision_layer_norms(self, tok):
+        """An image of one patch is one encoder row and one slot row, so the
+        vision and projector LayerNorms train on single rows, the path that
+        takes each row's statistics as scalars."""
+        cfg = ModelConfig(resolution=8, patch=8, vision_dim=16, model_dim=16,
+                          ffn_dim=32, vision_layers=1, llm_layers=1, heads=2,
+                          projector=TransformerBlockProjector(2), max_positions=48, seed=5)
+        assert cfg.encoder_tokens == cfg.slot_length == 1
+        sample = make_sample(tok, cfg, "grad check!", image_ids=("a",))
+        self.assert_matches_finite_differences(Model(cfg), sample, bind_pixels([sample], 8))
+
     def test_batch_loss_is_position_weighted_mean(self, tiny_model, tok):
         a = make_sample(tok, tiny_model.cfg, "short", image_ids=())
         b = make_sample(tok, tiny_model.cfg, "a considerably longer sample", image_ids=())
@@ -329,6 +344,22 @@ class TestGenerate:
     def test_max_new_zero(self, tiny_model, tok):
         sample = make_sample(tok, tiny_model.cfg, "prefix", image_ids=())
         assert tiny_model.generate(sample, max_new=0) == []
+
+    def test_max_new_zero_refuses_what_prefill_refuses(self, tiny_model, tok):
+        good = make_sample(tok, tiny_model.cfg, "prefix", image_ids=("img",))
+        pixels = bind_pixels([good], tiny_model.cfg.resolution)
+        cases = [(PackedSample(good.tokens[:0], good.modality_mask[:0], good.loss_mask[:0]),
+                  pixels),  # empty
+                 (dataclasses.replace(good, loss_mask=good.loss_mask[:-1]), pixels),
+                 (dataclasses.replace(good, image_slots=[]), pixels),  # IMAGE rows, no slot
+                 (good, {}),  # an unbound slot
+                 (good, {"img": pixels["img"][:8, :8]})]  # pixels of another resolution
+        for sample, pix in cases:
+            with pytest.raises(VlmforgeError) as refused:
+                tiny_model.prefill(sample, pix)
+            with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+                tiny_model.generate(sample, pix, max_new=0)
+        assert tiny_model.generate(good, pixels, max_new=0) == []
 
     @pytest.mark.parametrize("max_new", [-1, -3])
     def test_negative_max_new_rejected_before_prefill(self, tiny_model, tok, monkeypatch, max_new):
@@ -534,6 +565,36 @@ def test_layer_norm_equals_ndarray_mean_reference(dtype, shape):
     assert np.array_equal(_ln_bwd(dout, cache, None, "ln"), want_dx)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.float64, np.float32]), rows=st.integers(2, 6),
+       width=st.sampled_from([16, 32, 48, 64]), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 50.0), shift=st.floats(-3.0, 3.0))
+def test_one_row_layer_norm_is_its_row_of_the_batched_one(dtype, rows, width, seed, scale, shift):
+    """A single row's scalar statistics give, bit for bit, what that row
+    gets inside a batch of rows: output, xhat and inv forward; and backward
+    from its scalar cache, the dx and g and b gradients of its (1, 1) one."""
+    rng = np.random.default_rng(seed)
+    x = ((rng.normal(size=(rows, width)) + shift) * scale).astype(dtype)
+    dout = rng.normal(size=(rows, width)).astype(dtype)
+    g, b = (rng.normal(size=width).astype(dtype) for _ in range(2))
+    out, (xhat, inv, _) = _ln_fwd(x, g, b)
+    for i in range(rows):
+        row = slice(i, i + 1)
+        out_i, cache_i = _ln_fwd(x[row], g, b)
+        assert type(cache_i[1]) is np.dtype(dtype).type  # a scalar, not a (1, 1) array
+        assert out_i.dtype == dtype
+        assert np.array_equal(out_i, out[row])
+        assert np.array_equal(cache_i[0], xhat[row])
+        assert np.array_equal(cache_i[1], inv[i, 0])
+        grads = [{"ln.g": np.zeros_like(g), "ln.b": np.zeros_like(b)} for _ in range(2)]
+        dx = [_ln_bwd(dout[row], cache, into, "ln")
+              for cache, into in zip([cache_i, (xhat[row], inv[row], g)], grads)]
+        assert dx[0].dtype == dtype
+        assert np.array_equal(dx[0], dx[1])
+        for name in ("ln.g", "ln.b"):
+            assert np.array_equal(grads[0][name], grads[1][name])
+
+
 class TestParameterBuffers:
     def test_params_are_views_into_sorted_group_buffers(self):
         model = Model(ModelConfig(seed=2))
@@ -694,6 +755,40 @@ class TestBatchedPath:
             args = (sample, [tok.encode("red")]) if entry == "continuation_losses" else (sample,)
             with pytest.raises(ConfigMismatchError, match=message):
                 getattr(model, entry)(*args)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", ["forward", "sequence_loss", "loss_and_grads"])
+    def test_image_slots_must_match_the_sample(self, tok, monkeypatch, entry):
+        """IMAGE positions are exactly the rows of the sample's own slots, each
+        covered once. Otherwise IMAGE rows with no slot would keep their
+        token embedding but get no embed.tok gradient, a slot past its
+        sample's end would overwrite the next sample's first rows, or index
+        past the batch's last, and overlapping slots would merge one image
+        twice."""
+        model = Model(ModelConfig())
+        S = model.cfg.slot_length
+        tokens = np.array([tok.bos, *tok.encode("ABCDEFGH")], dtype=np.uint32)
+
+        def sample(n, image_rows, *slots):
+            modality = np.zeros(n, dtype=np.uint8)
+            modality[list(image_rows)] = IMAGE
+            return PackedSample(tokens[:n], modality, np.ones(n, dtype=np.uint8) - modality,
+                                [ImageSlot(start, S, "img") for start in slots])
+
+        text = sample(5, [])
+        past_end = sample(5, [3, 4], 3)
+        cases = [([sample(5, [1])], "IMAGE positions"),
+                 ([past_end, text], "leaves the sample"),
+                 ([text, past_end], "leaves the sample"),
+                 ([sample(5, [0, 1, 2, 3], -1)], "leaves the sample"),
+                 ([sample(9, range(1, 3 + S), 1, 3)], "IMAGE positions"),  # overlapping slots
+                 ([sample(9, range(1, 1 + S)), text], "IMAGE positions")]  # slot-less IMAGE rows
+        pixels = {"img": pixels_for("img", model.cfg.resolution)}
+        calls = []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        for batch, message in cases:
+            with pytest.raises(ConfigMismatchError, match=message):
+                getattr(model, entry)(batch, pixels)
         assert calls == []
 
     def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch):
