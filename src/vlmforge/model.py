@@ -48,11 +48,17 @@ LayerNorm on those rows only. Training and `extend` read every row and
 cut none. `forward` re-runs the whole sequence and is the uncached
 reference for generation and ranking.
 
+The final LayerNorm and the head run only in the passes that read the
+head: training, scoring, `prefill`, `extend` and `forward`. A pass hands
+on the last block's output and normalises it when first read (`_Pass`), so
+`hidden_states`, which feeds the alignment probe from the same batched
+pass as `forward`, runs neither.
+
 Every loss is next-token cross-entropy: row r of the flat batch predicts
-token r + 1, and one loss mask over the batch, each sample's first position
-zeroed, picks and weighs the scored rows (`_scored_rows`). The head and the
-cross-entropy run on those rows only (`_head_xent`); `_sample_means`
-averages them per sample.
+token r + 1, and one loss mask over the batch, 0 at every IMAGE position
+and each sample's first position zeroed, picks and weighs the scored rows
+(`_scored_rows`). The head and the cross-entropy run on those rows only
+(`_head_xent`); `_sample_means` averages them per sample.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
@@ -349,6 +355,11 @@ class _Layout:
 # skips its weight gradients when handed no gradient dict)
 
 
+# Hot reductions call np.add.reduce and np.maximum.reduce directly:
+# ndarray.sum, .max and .mean are those reductions behind a Python wrapper,
+# so the bits are the same and each call is cheaper.
+
+
 def _mean_last(a):
     """a.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's
     Python overhead."""
@@ -386,8 +397,8 @@ def _ln_fwd(x, g, b):
 def _ln_bwd(dout, cache, grads, prefix):
     xhat, inv, g = cache
     if grads is not None:
-        grads[f"{prefix}.g"] += (dout * xhat).sum(axis=0)
-        grads[f"{prefix}.b"] += dout.sum(axis=0)
+        grads[f"{prefix}.g"] += np.add.reduce(dout * xhat, axis=0)
+        grads[f"{prefix}.b"] += np.add.reduce(dout, axis=0)
     dxhat = dout * g
     return inv * (
         dxhat
@@ -416,7 +427,7 @@ def _linear_bwd(dout, x, w, grads, w_name, b_name, need_dx=True):
     """Backward of x @ w + b; `grads` None skips the weight gradients."""
     if grads is not None:
         grads[w_name] += x.T @ dout
-        grads[b_name] += dout.sum(axis=0)
+        grads[b_name] += np.add.reduce(dout, axis=0)
     return dout @ w.T if need_dx else None
 
 
@@ -430,9 +441,9 @@ def _causal_bias(L: int, dtype) -> np.ndarray:
 
 def _softmax_(a):
     """Softmax over the last axis, in place."""
-    a -= a.max(axis=-1, keepdims=True)
+    a -= np.maximum.reduce(a, axis=-1, keepdims=True)
     np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
+    a /= np.add.reduce(a, axis=-1, keepdims=True)
     return a
 
 
@@ -575,10 +586,10 @@ def _xent_(logits, targets):
     nothing of that size beyond the logits themselves.
     """
     rows = np.arange(len(targets))
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     picked = logits[rows, targets]
     np.exp(logits, out=logits)
-    z = logits.sum(axis=-1)
+    z = np.add.reduce(logits, axis=-1)
     logits /= z[:, None]
     logits[rows, targets] -= 1.0
     return np.log(z) - picked
@@ -599,6 +610,12 @@ def _sample_means(owner, ce, weights, n):
     return np.divide(total, count, out=np.zeros(n), where=count > 0)
 
 
+def _sample_rows(samples):
+    """Each sample's slice of a batch's flat rows."""
+    ends = list(itertools.accumulate(len(s) for s in samples))
+    return [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+
 # ---------------------------------------------------------------------------
 # the model
 
@@ -611,16 +628,28 @@ class _Pass:
     tokens: np.ndarray  # (N,) int64 token ids, flat
     text: np.ndarray  # (N,) bool, TEXT positions
     scored: tuple | None  # a scoring pass's (rows, targets, weights)
-    # final-LN output, the head's input: (N, model_dim), or in a pass with a
+    # the last decoder block's output: (N, model_dim), or in a pass with a
     # KVCache the rows from the cached sequence's last one on
-    normed: np.ndarray
-    final_ln: tuple
+    out: np.ndarray
+    final_gb: tuple  # the final LayerNorm's gain and bias
     # a training pass keeps the decoder block caches and, when the batch has
     # images, (slot rows, their rows in the projected stack, stack rows,
     # encoder cache, projector cache); any other pass keeps the hidden states
     blocks: list
     images: tuple | None
     hidden: list[np.ndarray]
+
+    @functools.cached_property
+    def final_ln(self) -> tuple:
+        """The final LayerNorm over `out`: its output and backward cache. It
+        runs on first read, so a pass that reads only the hidden states runs
+        neither it nor the head."""
+        return _ln_fwd(self.out, *self.final_gb)
+
+    @property
+    def normed(self) -> np.ndarray:
+        """The final LayerNorm's output, the head's input."""
+        return self.final_ln[0]
 
 
 class KVCache:
@@ -885,10 +914,12 @@ class Model:
         """Embed, merge the images in, and run the decoder over a whole batch.
 
         A training pass keeps what backward needs; any other pass keeps the
-        hidden states instead. A scored pass picks its scored rows first, so
-        a bad loss mask is refused, as a bad modality mask is, before any
-        block runs; so are IMAGE positions that are not exactly the rows of
-        the image slots, each covered once. Given an empty KVCache, the pass
+        hidden states instead; the final LayerNorm runs when a caller first
+        reads `normed` or `final_ln`. A scored pass picks its scored rows
+        first, so a bad loss mask, one with a loss bit at an IMAGE position
+        included, is refused, as a bad modality mask is, before any block
+        runs; so are IMAGE positions that are not exactly the rows of the
+        image slots, each covered once. Given an empty KVCache, the pass
         is the first sample's prefill, and every later sample continues that
         one, as a layout with that sample as its prefix lays them out. The
         head then reads only the first sample's last row, which predicts
@@ -905,7 +936,7 @@ class Model:
         modality = np.concatenate([s.modality_mask for s in samples])
         _check_binary(modality, "modality")
         text = modality == TEXT
-        score = self._scored_rows(samples, tokens) if scored else None
+        score = self._scored_rows(samples, tokens, text) if scored else None
         image_ids = list(dict.fromkeys(
             slot.image_id for s in samples for slot in s.image_slots))
         index = {image_id: k for k, image_id in enumerate(image_ids)}
@@ -932,25 +963,27 @@ class Model:
                 images = (dst, src, len(image_ids) * S, enc_cache, proj_cache)
         layout.add_positions(x, p["embed.pos"])
         first = 0 if kv is None else lengths[0] - 1
-        normed, final_ln, kept = self._decode(x, layout, train, kv, first)
+        out, kept = self._decode(x, layout, train, kv, first)
+        final_gb = (p["llm.final_ln.g"], p["llm.final_ln.b"])
         if train:
-            return _Pass(layout, tokens, text, score, normed, final_ln, kept, images, [])
-        return _Pass(layout, tokens, text, score, normed, final_ln, [], None, kept)
+            return _Pass(layout, tokens, text, score, out, final_gb, kept, images, [])
+        return _Pass(layout, tokens, text, score, out, final_gb, [], None, kept)
 
     def _decode(self, x, layout: _Layout, train: bool, kv: KVCache | None = None,
                 first: int = 0):
-        """The decoder blocks and final LayerNorm over embedded rows.
+        """The decoder blocks over embedded rows; the final LayerNorm is left
+        to the callers that read the head.
 
-        Returns the final LayerNorm's output and cache, and the block caches
-        (training) or the hidden states (otherwise). With a KVCache the first
-        group's one sequence continues it from its length, which then
-        advances past it; a prefixed layout's later sequences continue
-        that one in turn and stay out of the cache.
+        Returns the last block's output, and the block caches (training) or
+        the hidden states (otherwise). With a KVCache the first group's one
+        sequence continues it from its length, which then advances past it;
+        a prefixed layout's later sequences continue that one in turn and
+        stay out of the cache.
 
         The output holds the rows from `first` on, the first the caller
         reads: the last block computes keys and values for every row, so the
-        cache covers them all, and runs its query side, as the final
-        LayerNorm does, on those rows only. So does the last hidden state.
+        cache covers them all, and runs its query side on those rows only.
+        So does the last hidden state.
         """
         cfg, p = self.cfg, self.params
         kept = [] if train else [x]  # block caches or hidden states
@@ -965,8 +998,7 @@ class Model:
             kv.length += layout.groups[0][0]
         if last < 0:  # no block cut the rows
             x = x[first:]
-        normed, final_ln = _ln_fwd(x, p["llm.final_ln.g"], p["llm.final_ln.b"])
-        return normed, final_ln, kept
+        return x, kept
 
     def forward(self, sample: PackedSample | list[PackedSample],
                 pixels: dict[str, np.ndarray] | None = None):
@@ -983,23 +1015,34 @@ class Model:
         logits = fw.normed @ p["head.w"] + p["head.b"]
         if isinstance(sample, PackedSample):
             return ForwardTrace(logits, fw.hidden)
-        ends = list(itertools.accumulate(len(s) for s in samples))
-        return [ForwardTrace(logits[a:b], [h[a:b] for h in fw.hidden])
-                for a, b in zip([0] + ends, ends)]
+        return [ForwardTrace(logits[rows], [h[rows] for h in fw.hidden])
+                for rows in _sample_rows(samples)]
+
+    def hidden_states(self, samples: list[PackedSample],
+                      pixels: dict[str, np.ndarray] | None = None) -> list[list[np.ndarray]]:
+        """Each sample's llm_layers + 1 hidden states, as `forward` captures
+        them, from one batched pass that runs neither the final LayerNorm
+        nor the head."""
+        samples = list(samples)
+        fw = self._forward(samples, pixels, train=False)
+        return [[h[rows] for h in fw.hidden] for rows in _sample_rows(samples)]
 
     # -- loss and gradients
 
-    def _scored_rows(self, samples, tokens):
+    def _scored_rows(self, samples, tokens, text):
         """The flat rows that carry loss, their targets and their weights.
 
         Row r predicts the token at r + 1 of the flat `tokens`, the target,
-        and weighs as that position's loss mask. The batch's one loss mask
-        has each sample's first position zeroed, so a sample's last row
-        predicts nothing.
+        and weighs as that position's loss mask. A loss bit is refused at an
+        IMAGE position, whose token is only the placeholder the image's
+        rows replace, and zeroed at each sample's first position, so a
+        sample's last row predicts nothing.
         """
         lengths = [len(s) for s in samples]
         mask = np.concatenate([s.loss_mask for s in samples])
         _check_binary(mask, "loss")
+        if mask[~text].any():
+            raise ConfigMismatchError("loss mask must be 0 at IMAGE positions")
         mask[np.cumsum(lengths) - lengths] = 0
         rows = np.flatnonzero(mask[1:])
         return rows, tokens[rows + 1], mask[rows + 1].astype(np.float64)
@@ -1029,7 +1072,8 @@ class Model:
         if isinstance(samples, PackedSample):
             samples = [samples]
         train = set(PARAM_GROUPS if trainable is None else trainable)
-        grads = {name: np.zeros_like(arr) for name, arr in self.params.items()
+        # np.zeros, not zeros_like: the same zeros without its dispatch overhead
+        grads = {name: np.zeros(arr.shape, arr.dtype) for name, arr in self.params.items()
                  if self.group_of(name) in train}
         fw = self._forward(samples, pixels, train=True, scored=True)
         rows, targets, weights = fw.scored
@@ -1060,9 +1104,9 @@ class Model:
         need_images = fw.images is not None and bool({"projector", "vision"} & train)
         if not ("llm" in train or need_embed or need_images):
             return
-        dx = np.zeros_like(fw.normed)
+        dx = np.zeros_like(fw.out)
         dx[rows] = dnormed
-        dx = _ln_bwd(dx, fw.final_ln, owned("llm"), "llm.final_ln")
+        dx = _ln_bwd(dx, fw.final_ln[1], owned("llm"), "llm.final_ln")
         for i in reversed(range(cfg.llm_layers)):
             dx = _block_bwd(dx, fw.blocks.pop(), p, owned("llm"), f"llm.block{i}", cfg.heads)
         if need_embed:
@@ -1122,7 +1166,8 @@ class Model:
         layout = _Layout.single(len(ids))
         x = p["embed.tok"][ids]
         layout.add_positions(x, p["embed.pos"], kv.length)
-        normed, _, _ = self._decode(x, layout, False, kv)
+        out, _ = self._decode(x, layout, False, kv)
+        normed, _ = _ln_fwd(out, p["llm.final_ln.g"], p["llm.final_ln.b"])
         return normed @ p["head.w"] + p["head.b"]
 
     def continuation_losses(self, prefix: PackedSample, continuations, pixels=None) -> np.ndarray:

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
 from vlmforge.diagnostics import AlignmentProfile, alignment_profile, chamfer_cosine
 from vlmforge.errors import VlmforgeError
-from vlmforge.model import ForwardTrace
-from vlmforge.packing import IMAGE, TEXT, PackedSample
+from vlmforge.model import Model
+from vlmforge.packing import IMAGE, TEXT, PackedSample, bind_pixels, pack_document
 
 
 def double_loop_chamfer(A, B):
@@ -82,8 +85,27 @@ class _StubModel:
     def __init__(self, hidden_builder):
         self.hidden_builder = hidden_builder
 
-    def forward(self, samples, pixels=None):
-        return [ForwardTrace(np.zeros((len(s), 4)), self.hidden_builder(s)) for s in samples]
+    def hidden_states(self, samples, pixels=None):
+        return [self.hidden_builder(s) for s in samples]
+
+
+class _Watched(np.ndarray):
+    """A parameter that records, as (name, ufunc), every ufunc it enters."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls.append((self.name, ufunc.__name__))
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+
+def mixed_batch(tok, cfg):
+    """Four image-text samples of different lengths and a text-only one, and
+    their pixels."""
+    docs = [InterleavedDocument(f"d{i}", [ImageSegment(f"i{i}"), TextSegment("x" * (3 + 5 * i)),
+                                          ImageSegment(f"j{i}")])
+            for i in range(4)]
+    docs.append(InterleavedDocument("t", [TextSegment("text only")]))
+    samples = [s for d in docs for s in pack_document(d, tok, cfg.slot_length, cfg.max_positions)]
+    return samples, bind_pixels(samples, cfg.resolution)
 
 
 def mixed_sample(n_image=3, n_text=5):
@@ -122,9 +144,6 @@ class TestAlignmentProfile:
             alignment_profile(stub, [sample], {})
 
     def test_real_model_profile_shape(self, tiny_model, tok):
-        from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
-        from vlmforge.packing import bind_pixels, pack_document
-
         doc = InterleavedDocument("d", [ImageSegment("i"), TextSegment("hello")])
         samples = pack_document(doc, tok, tiny_model.cfg.slot_length, 64)
         pixels = bind_pixels(samples, 16)
@@ -133,15 +152,7 @@ class TestAlignmentProfile:
         assert all(np.isfinite(v) for v in profile.per_layer)
 
     def test_batched_profile_is_mean_of_single_sample_profiles(self, tiny_model, tok):
-        from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
-        from vlmforge.packing import bind_pixels, pack_document
-
-        docs = [InterleavedDocument(f"d{i}", [ImageSegment(f"i{i}"), TextSegment("x" * (3 + 5 * i)),
-                                              ImageSegment(f"j{i}")])
-                for i in range(4)]
-        docs.append(InterleavedDocument("t", [TextSegment("text only")]))
-        samples = [s for d in docs for s in pack_document(d, tok, tiny_model.cfg.slot_length, 64)]
-        pixels = bind_pixels(samples, 16)
+        samples, pixels = mixed_batch(tok, tiny_model.cfg)
         batched = alignment_profile(tiny_model, samples, pixels)
         singles = [alignment_profile(tiny_model, [s], pixels).per_layer
                    for s in samples if (s.modality_mask == TEXT).any()
@@ -152,9 +163,6 @@ class TestAlignmentProfile:
 
     def test_layers_equal_chamfer_cosine_bitwise(self, tiny_model, tok):
         """The one-pass profile against `chamfer_cosine` layer by layer."""
-        from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
-        from vlmforge.packing import bind_pixels, pack_document
-
         doc = InterleavedDocument("d", [ImageSegment("i"), TextSegment("some text"),
                                         ImageSegment("j"), TextSegment("more")])
         [sample] = pack_document(doc, tok, tiny_model.cfg.slot_length, 64)
@@ -163,6 +171,38 @@ class TestAlignmentProfile:
         want = [chamfer_cosine(layer[visual], layer[textual])
                 for layer in tiny_model.forward(sample, pixels).hidden]
         assert alignment_profile(tiny_model, [sample], pixels).per_layer == want
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_batch_layers_equal_chamfer_cosine_bitwise(self, tiny_cfg, tok, dtype):
+        """A mixed batch's one-pass profile against the mean of `chamfer_cosine`
+        over each two-modality sample's `forward` hidden states, layer by
+        layer, at either dtype."""
+        model = Model(dataclasses.replace(tiny_cfg, dtype=dtype))
+        samples, pixels = mixed_batch(tok, model.cfg)
+        sums, used = 0.0, 0
+        for sample, trace in zip(samples, model.forward(samples, pixels)):
+            visual, textual = sample.modality_mask == IMAGE, sample.modality_mask == TEXT
+            if visual.any() and textual.any():
+                sums += np.array([chamfer_cosine(layer[visual], layer[textual])
+                                  for layer in trace.hidden])
+                used += 1
+        profile = alignment_profile(model, samples, pixels)
+        assert profile.sample_count == used == 4
+        assert profile.per_layer == [float(v / used) for v in sums]
+
+    def test_profile_runs_no_final_layer_norm_and_no_head(self, tiny_model, tok):
+        """The probe's pass stops at the last block, while `forward` still
+        normalises its output and runs the head on it."""
+        samples, pixels = mixed_batch(tok, tiny_model.cfg)
+        calls = []
+        for name in ("llm.final_ln.g", "head.w"):
+            watched = tiny_model.params[name].view(_Watched)
+            watched.name, watched.calls = name, calls
+            tiny_model.params[name] = watched
+        alignment_profile(tiny_model, samples, pixels)
+        assert calls == []
+        tiny_model.forward(samples, pixels)
+        assert calls == [("llm.final_ln.g", "multiply"), ("head.w", "matmul")]
 
     @pytest.mark.parametrize("zeros, message", [
         ([(0, 1)], "A: zero vector at index 1"),

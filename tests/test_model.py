@@ -26,8 +26,10 @@ from vlmforge.model import (
     _block_fwd,
     _gelu_fwd,
     _Layout,
+    _linear_bwd,
     _ln_bwd,
     _ln_fwd,
+    _softmax_,
     _xent_,
 )
 from vlmforge.packing import (
@@ -595,6 +597,44 @@ def test_one_row_layer_norm_is_its_row_of_the_batched_one(dtype, rows, width, se
             assert np.array_equal(grads[0][name], grads[1][name])
 
 
+@settings(max_examples=100, deadline=None)
+@given(dtype=st.sampled_from([np.float64, np.float32]), rows=st.integers(1, 9),
+       width=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 50.0))
+def test_hot_reductions_equal_ndarray_method_references(dtype, rows, width, seed, scale):
+    """`_softmax_`, `_xent_`, `_ln_bwd` and `_linear_bwd` reduce through
+    np.maximum.reduce and np.add.reduce; each gives, bit for bit, what its
+    form with ndarray.max and ndarray.sum gives."""
+    rng = np.random.default_rng(seed)
+    a, dout, xhat = ((rng.normal(size=(rows, width)) * scale).astype(dtype) for _ in range(3))
+    masked = a.copy()
+    masked[:, 1:][rng.random((rows, width - 1)) < 0.3] = -np.inf  # as a causal mask leaves it
+    want = masked - masked.max(axis=-1, keepdims=True)
+    np.exp(want, out=want)
+    want /= want.sum(axis=-1, keepdims=True)
+    assert np.array_equal(_softmax_(masked.copy()), want)
+
+    targets = rng.integers(0, width, size=rows)
+    picked_rows = np.arange(rows)
+    want = a - a.max(axis=-1, keepdims=True)
+    picked = want[picked_rows, targets]
+    np.exp(want, out=want)
+    z = want.sum(axis=-1)
+    want /= z[:, None]
+    want[picked_rows, targets] -= 1.0
+    logits = a.copy()
+    assert np.array_equal(_xent_(logits, targets), np.log(z) - picked)
+    assert np.array_equal(logits, want)
+
+    g = rng.normal(size=width).astype(dtype)
+    grads = {"ln.g": np.zeros(width, dtype), "ln.b": np.zeros(width, dtype),
+             "w": np.zeros((width, width), dtype), "b": np.zeros(width, dtype)}
+    _ln_bwd(dout, (xhat, dtype(1.5), g), grads, "ln")
+    _linear_bwd(dout, a, None, grads, "w", "b", need_dx=False)
+    assert np.array_equal(grads["ln.g"], (dout * xhat).sum(axis=0))
+    assert np.array_equal(grads["ln.b"], dout.sum(axis=0))
+    assert np.array_equal(grads["b"], dout.sum(axis=0))
+
+
 class TestParameterBuffers:
     def test_params_are_views_into_sorted_group_buffers(self):
         model = Model(ModelConfig(seed=2))
@@ -746,15 +786,23 @@ class TestBatchedPath:
                  (PackedSample(tokens, masks(5), masks(3)), "mask lengths"),
                  (PackedSample(tokens, masks(5, 0, 3, 0, 0, 0), masks(5, 0, 1, 1, 1, 1)),
                   "modality mask holds")]
+        doc = InterleavedDocument("d", [ImageSegment("img"), TextSegment("ABCD")])
+        [imaged] = pack_document(doc, tok, model.cfg.slot_length, model.cfg.max_positions)
+        pixels = bind_pixels([imaged], model.cfg.resolution)
         if entry in ("sequence_loss", "loss_and_grads"):  # the entries that read a loss mask
             cases.append((PackedSample(tokens, masks(5), masks(5, 0, 2, 1, 1, 1)),
                           "loss mask holds"))
+            # a loss bit at an IMAGE position would train the row before it
+            # to predict the image placeholder id
+            image_loss = imaged.loss_mask | (imaged.modality_mask == IMAGE)
+            cases.append((dataclasses.replace(imaged, loss_mask=image_loss.astype(np.uint8)),
+                          "loss mask must be 0 at IMAGE positions"))
         calls = []
         monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
         for sample, message in cases:
             args = (sample, [tok.encode("red")]) if entry == "continuation_losses" else (sample,)
             with pytest.raises(ConfigMismatchError, match=message):
-                getattr(model, entry)(*args)
+                getattr(model, entry)(*args, pixels)
         assert calls == []
 
     @pytest.mark.parametrize("entry", ["forward", "sequence_loss", "loss_and_grads"])
