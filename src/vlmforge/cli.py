@@ -56,8 +56,7 @@ def _model_config(args, projector=None) -> ModelConfig:
     defaults, with --seed over all on a command that takes one."""
     fields = {} if projector is None else {"projector": dataclasses.asdict(projector)}
     if args.config is not None:
-        with open(args.config) as fh:
-            fields.update(fields_from_json(ModelConfig, json.load(fh)))
+        fields.update(fields_from_json(ModelConfig, json.loads(manifest.read_utf8(args.config))))
     if "seed" in args:
         fields["seed"] = args.seed
     return ModelConfig.from_json(fields)
@@ -161,8 +160,7 @@ def cmd_pack_run(args) -> int:
 
 def _plan_from_json(path) -> trainer.StagePlan:
     """{"stages": [StageSpec objects]}; `policy` lists the trainable groups."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = json.loads(manifest.read_utf8(path))
     if not isinstance(obj, dict) or not isinstance(obj.get("stages"), list):
         raise VlmforgeError(f"{path}: a plan is a JSON object with a list of stages")
     stages = []
@@ -279,8 +277,9 @@ def cmd_train_run(args) -> int:
 
 
 def _read_runlog(path) -> trainer.RunLog:
+    text = manifest.read_utf8(path)
     try:
-        return trainer.RunLog.from_csv(Path(path).read_text())
+        return trainer.RunLog.from_csv(text)
     except VlmforgeError as exc:
         raise VlmforgeError(f"{path}:{exc}") from None
 

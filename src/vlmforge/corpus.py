@@ -187,6 +187,17 @@ def pair_to_json(pair: PairSample) -> dict:
     return {"image_id": pair.image_id, "caption": pair.caption, "clip_score": pair.clip_score}
 
 
+def _check_utf8(line: str) -> None:
+    """Refuse a line read with errors="surrogateescape" that held bytes
+    that are not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusFormatError(f"byte {ord(line[exc.start]) - 0xDC00:#04x} at "
+                                    f"character {exc.start} is not UTF-8") from None
+
+
 def parse_corpus(
     path,
     format: str,
@@ -202,11 +213,14 @@ def parse_corpus(
         raise ValueError(f"unknown corpus format {format!r}")
     seen_ids: set[str] = set()
     dropped_captions = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, which valid UTF-8
+    # never yields, so a bad line fails on its own and the rest still parse
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                _check_utf8(line)
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise CorpusFormatError("line is not a JSON object")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigMismatchError, VlmforgeError
+from .manifest import read_utf8
 from .model import fields_from_json
 from .packing import ByteTokenizer, PackedSample, bind_pixels, pack_context
 from .seeding import substream
@@ -182,8 +183,8 @@ class TaskHeader:
 
 def _read_jsonl(path) -> list[tuple[int, str]]:
     """The non-blank lines of `path` with their 1-based line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [(line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()]
+    lines = read_utf8(path).split("\n")
+    return [(line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _record(path, line_no: int, line: str, cls):
@@ -209,28 +210,3 @@ def load_task(path) -> EvalTask:
     task = EvalTask(header.name, items, demo_pool, header.metric)
     task.validate()
     return task
-
-
-def save_task(task: EvalTask, path) -> None:
-    """Write `task` to `path`, and its demo pool, if any, beside it as
-    `<file name>.demos`."""
-
-    def dump(item: EvalItem) -> str:
-        obj = {"item_id": item.item_id, "prompt": item.prompt, "answer": item.answer}
-        if item.image_id is not None:
-            obj["image_id"] = item.image_id
-        if item.candidates is not None:
-            obj["candidates"] = item.candidates
-        return json.dumps(obj)
-
-    header = {"name": task.name, "metric": task.metric}
-    if task.demo_pool:
-        header["demo_pool"] = os.path.basename(os.fspath(path)) + ".demos"
-        pool_path = os.path.join(os.path.dirname(os.fspath(path)), header["demo_pool"])
-        with open(pool_path, "w", encoding="utf-8") as fh:
-            for demo in task.demo_pool:
-                fh.write(dump(demo) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for item in task.items:
-            fh.write(dump(item) + "\n")

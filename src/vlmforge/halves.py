@@ -1,0 +1,341 @@
+"""The second half of a training batch, computed in a second process.
+
+`Model.loss_and_grads` splits a batch of two or more samples into two fixed
+halves and adds up their losses and gradients. Where this process may run on
+two CPUs, a worker process computes the second half while the caller
+computes the first. Anywhere else, and whenever the worker is busy with
+another thread's call, still starting or gone, the caller computes both. The
+worker runs the same `Model._scored_grads` on the same inputs, so the bits
+are the same either way.
+
+There is one worker per process, shared by every model, config and freeze
+policy. It starts at the first multi-sample `loss_and_grads`, since a fresh
+interpreter that imports the model takes about 0.4 s, and the calls made
+while it starts compute both halves here. It is a plain `subprocess` child
+and starts no helper process of its own. It shares one anonymous memory file
+(`os.memfd_create`) with the caller, which leaves nothing on any file
+system. The file holds every parameter, which the caller copies in before
+each call, and then the trainable groups' gradients, which the worker
+writes. A config or policy that needs more room grows the file; neither
+side respawns. A pipe carries only the half's samples and pixels and a few
+scalars one way, and the half's cross-entropy sum the other.
+
+Between calls the worker sleeps in a blocking read. It exits when the pipe
+closes: at the caller's exit (`atexit`), or when the caller dies. If it
+dies or fails, the call in flight computes its second half here, with the
+same bits, one warning is logged, and the process computes both halves
+itself from then on.
+"""
+
+from __future__ import annotations
+
+import atexit
+import contextlib
+import itertools
+import logging
+import mmap
+import os
+import pickle
+import select
+import signal
+import struct
+import subprocess
+import sys
+import threading
+import traceback
+
+import numpy as np
+
+from .packing import ImageSlot, PackedSample
+
+logger = logging.getLogger(__name__)
+
+_HEADER = struct.Struct("<Q")  # a message's byte length, before its bytes
+_ALIGN = 64  # the gradients' byte offset in the shared memory is a multiple of this
+_READY = b"ready"
+_EXIT_WAIT_S = 10.0  # how long the caller's exit waits for the worker to end
+
+
+def _send(fh, payload: bytes) -> None:
+    fh.write(_HEADER.pack(len(payload)) + payload)
+    fh.flush()
+
+
+def _receive(fh) -> bytes | None:
+    """The next message on the pipe, or None once it is closed."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        return None
+    (size,) = _HEADER.unpack(head)
+    payload = fh.read(size)
+    return payload if len(payload) == size else None
+
+
+def _layout(cfg, train) -> tuple[dict[str, int], dict[str, int], int, int]:
+    """Where the shared memory keeps what: every parameter group's buffer
+    back to back, then each trainable group's gradient buffer from a
+    _ALIGN-byte boundary on. Returns the element count of each parameter
+    group and of each gradient group, the gradients' byte offset and the
+    bytes in all."""
+    from .model import Model  # the model module imports this one
+
+    sizes = Model._group_sizes(cfg)
+    trained = {group: n for group, n in sizes.items() if group in train}
+    itemsize = np.dtype(cfg.np_dtype).itemsize
+    offset = -(-sum(sizes.values()) * itemsize // _ALIGN) * _ALIGN
+    return sizes, trained, offset, offset + sum(trained.values()) * itemsize
+
+
+def _arrays(cfg, train, memory) -> tuple[dict[str, np.ndarray], np.ndarray,
+                                          dict[str, np.ndarray]]:
+    """The shared memory's arrays: each parameter group's buffer, the
+    gradient region, flat, and each trainable parameter's gradient by name,
+    laid out in its group as `Model.views` lays out a group."""
+    from .model import Model
+
+    sizes, trained, offset, _ = _layout(cfg, train)
+    dtype = np.dtype(cfg.np_dtype)
+
+    def buffers(counts, start):
+        flat = np.frombuffer(memory, dtype, sum(counts.values()), start)
+        return flat, dict(zip(counts, np.split(flat, np.cumsum(list(counts.values()))[:-1])))
+
+    region, grad_buffers = buffers(trained, offset)
+    return buffers(sizes, 0)[1], region, Model.views(cfg, grad_buffers)
+
+
+def _wire(a: np.ndarray) -> tuple:
+    return a.tobytes(), a.dtype.str, a.shape
+
+
+def _unwire(wired: tuple) -> np.ndarray:
+    data, dtype, shape = wired
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
+def _pack(samples, pixels) -> tuple:
+    """A half's samples, and the pixels of their images, as the bytes of a
+    few flat arrays: a PackedSample or an array takes several microseconds
+    to pickle and more to unpickle, and bytes well under one."""
+    ids = list(dict.fromkeys(slot.image_id for s in samples for slot in s.image_slots))
+    stack = np.stack([pixels[i] for i in ids]) if ids else np.empty(0)
+    flats = [_wire(np.concatenate([getattr(s, name) for s in samples]))
+             for name in ("tokens", "modality_mask", "loss_mask")]
+    slots = [[(slot.start, slot.length, slot.image_id) for slot in s.image_slots]
+             for s in samples]
+    return [len(s) for s in samples], flats, slots, ids, _wire(stack)
+
+
+def _unpack(packed) -> tuple[list[PackedSample], dict[str, np.ndarray]]:
+    """`_pack`'s samples and pixels, as read-only views of its bytes."""
+    lengths, flats, slots, ids, stack = packed
+    tokens, modality, loss = map(_unwire, flats)
+    ends = list(itertools.accumulate(lengths))
+    samples = [PackedSample(tokens[a:b], modality[a:b], loss[a:b],
+                            [ImageSlot(*slot) for slot in sample_slots])
+               for a, b, sample_slots in zip([0] + ends, ends, slots)]
+    return samples, dict(zip(ids, _unwire(stack)))
+
+
+class _Worker:
+    """The worker process, its two pipes and the memory it shares with this
+    process; made and used by the process that spawned it only."""
+
+    def __init__(self):
+        self.owner = os.getpid()
+        self.size = 0  # bytes of the memory file
+        self.memory = None
+        self.key = None  # (config, trainable groups) the arrays are laid out for
+        self.ready = False
+        self.pending = False  # a request sent whose reply is not read yet
+        package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        fds = []  # everything opened here, closed again if the worker does not start
+        try:
+            self.memfd = os.memfd_create("vlmforge-halves")
+            fds.append(self.memfd)
+            requests_r, requests_w = os.pipe()
+            fds += [requests_r, requests_w]
+            replies_r, replies_w = os.pipe()
+            fds += [replies_r, replies_w]
+            boot = (f"import sys; sys.path.insert(0, {package_parent!r}); "
+                    f"from vlmforge.halves import _serve; "
+                    f"_serve({requests_r}, {replies_w}, {self.memfd})")
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", boot], pass_fds=(requests_r, replies_w, self.memfd),
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        os.close(requests_r)  # the worker's ends
+        os.close(replies_w)
+        self.requests = open(requests_w, "wb")
+        self.replies = open(replies_r, "rb")
+
+    def is_ready(self) -> bool:
+        """Whether the worker has started; never waits for it."""
+        if not self.ready and select.select([self.replies], [], [], 0)[0]:
+            if _receive(self.replies) != _READY:
+                raise EOFError("the worker exited while starting")
+            self.ready = True
+        return self.ready
+
+    def submit(self, model, samples, pixels, train, total: float) -> None:
+        """Copy the parameters into the shared memory and send the half."""
+        if self.pending:  # an interrupted call left its reply unread
+            if _receive(self.replies) is None:
+                raise EOFError("the worker exited")
+        cfg, groups = model.cfg, tuple(sorted(train))
+        if (cfg, groups) != self.key:
+            nbytes = _layout(cfg, groups)[3]
+            if nbytes > self.size:
+                os.ftruncate(self.memfd, nbytes)
+                self.memory, self.size = mmap.mmap(self.memfd, nbytes), nbytes
+            params, _, self.grads = _arrays(cfg, groups, self.memory)
+            self.params = model.views(cfg, params)
+            self.key = (cfg, groups)
+        for name, view in self.params.items():
+            view[...] = model.params[name]
+        request = (self.size, cfg, groups, total, _pack(samples, pixels))
+        _send(self.requests, pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL))
+        self.pending = True
+
+    def result(self) -> tuple[float, dict[str, np.ndarray]]:
+        """The half's cross-entropy sum and its gradients, which are views
+        into the shared memory: read them before the next `submit`."""
+        reply = _receive(self.replies)
+        self.pending = False
+        if reply is None:
+            raise EOFError("the worker exited")
+        outcome = pickle.loads(reply)
+        if isinstance(outcome, str):  # the worker's traceback
+            raise RuntimeError(outcome)
+        return outcome, self.grads
+
+    def close(self) -> None:
+        """End the worker: close its pipe, which it reads as the end, wait
+        for it, and kill it if it does not end in time."""
+        if self.owner != os.getpid():
+            return
+        with contextlib.suppress(OSError):  # a broken pipe: the worker has ended
+            self.requests.close()
+        try:
+            self.proc.wait(_EXIT_WAIT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.replies.close()
+        os.close(self.memfd)
+
+
+class _ProcessWorker:
+    """This process's worker: none until the first multi-sample batch on two
+    CPUs, then one until it fails or the process exits. `lock` keeps it to
+    one call at a time."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.worker: _Worker | None = None
+        self.failed = False
+
+    def ready(self) -> _Worker | None:
+        """The worker, started here if it is not yet; None while it starts,
+        after it failed, or where this process may use one CPU only."""
+        if self.worker is not None and self.worker.owner != os.getpid():
+            self.worker = None  # a forked child's copy: the worker is its parent's
+        if self.failed or not _two_cpus():
+            return None
+        try:
+            if self.worker is None:
+                self.worker = _Worker()
+                atexit.register(self.worker.close)
+            return self.worker if self.worker.is_ready() else None
+        except (OSError, EOFError) as exc:
+            self.fail(exc)
+            return None
+
+    def fail(self, exc: BaseException) -> None:
+        logger.warning("the training worker process failed (%s); this process computes "
+                       "both halves of every batch from now on", exc)
+        self.failed = True
+        if self.worker is not None:
+            worker, self.worker = self.worker, None
+            atexit.unregister(worker.close)
+            worker.proc.kill()
+            worker.close()
+
+
+def _two_cpus() -> bool:
+    return (hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+_PROCESS = _ProcessWorker()
+
+
+@contextlib.contextmanager
+def second_half(model, samples, pixels, train, total: float):
+    """Start the second half of a batch: `model._scored_grads` on `samples`.
+
+    Yields a function that returns the half's cross-entropy sum and its
+    gradients by name, to be read before the next call. The half runs in
+    the worker if it is ready and free, and here, when the function is
+    called, otherwise, or if the worker fails on the way."""
+
+    def here():
+        grads = model._zero_grads(train)
+        return model._scored_grads(samples, pixels, train, total, grads), grads
+
+    if not _PROCESS.lock.acquire(blocking=False):
+        yield here
+        return
+    try:
+        worker = _PROCESS.ready()
+        try:
+            if worker is not None:
+                worker.submit(model, samples, pixels or {}, train, total)
+        except (OSError, EOFError, pickle.PicklingError) as exc:
+            _PROCESS.fail(exc)
+            worker = None
+
+        def there():
+            try:
+                return worker.result()
+            except (OSError, EOFError, RuntimeError) as exc:
+                _PROCESS.fail(exc)
+                return here()
+
+        yield here if worker is None else there
+    finally:
+        _PROCESS.lock.release()
+
+
+def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
+    """The worker's loop: answer each request until the pipe closes."""
+    from .model import Model
+
+    # a terminal's interrupt reaches the whole process group; the caller
+    # handles it, and the worker ends when the caller closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests, replies = open(requests_fd, "rb"), open(replies_fd, "wb")
+    _send(replies, _READY)
+    size, key = 0, None
+    while (message := _receive(requests)) is not None:
+        try:
+            nbytes, cfg, groups, total, packed = pickle.loads(message)
+            samples, pixels = _unpack(packed)
+            if nbytes != size:
+                memory, size, key = mmap.mmap(memfd, nbytes), nbytes, None
+            if (cfg, groups) != key:
+                params, region, grads = _arrays(cfg, groups, memory)
+                # the model reads its parameters in place, from the shared memory
+                model, key = Model(cfg), (cfg, groups)
+                model.buffers, model.params = params, Model.views(cfg, params)
+            region.fill(0)
+            outcome = model._scored_grads(samples, pixels, set(groups), total, grads)
+        except Exception:  # reported to the caller, which then computes the half itself
+            outcome = traceback.format_exc()
+        try:
+            _send(replies, pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+        except BrokenPipeError:  # the caller has ended
+            return

@@ -1,4 +1,6 @@
-"""Run manifests: provenance records written next to every output artifact."""
+"""Run manifests, the provenance records written next to every output
+artifact, and the file helpers the writers and readers share: atomic
+writes and UTF-8 reads."""
 
 from __future__ import annotations
 
@@ -8,6 +10,9 @@ import hashlib
 import json
 import os
 import subprocess
+from pathlib import Path
+
+from .errors import VlmforgeError
 
 
 def file_sha256(path) -> str:
@@ -16,6 +21,19 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file, its line ends made "\n" as text mode makes
+    them; a byte that is not UTF-8 raises VlmforgeError naming the file and
+    the line it is on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise VlmforgeError(f"{path}:line {line_no}: byte {data[exc.start]:#04x} "
+                            f"is not UTF-8") from None
 
 
 def _git_describe() -> str:
@@ -48,7 +66,12 @@ def atomic_open(target, mode: str = "w"):
 
 def write_manifest(anchor_path, command: str, config: dict, seed: int | None,
                    inputs: list, outputs: list) -> str:
-    """Atomically write `<anchor>.manifest.json` beside the anchor output."""
+    """Atomically write `<anchor>.manifest.json` beside the anchor output.
+
+    It records, besides the command and its inputs, the BLAS the numbers
+    came from and its thread counts: a run's bits depend on both."""
+    from .model import blas_record  # the model imports this module
+
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(
@@ -60,6 +83,7 @@ def write_manifest(anchor_path, command: str, config: dict, seed: int | None,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": {str(p): file_sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
+        "blas": blas_record(),
     }
     target = str(anchor_path) + ".manifest.json"
     with atomic_open(target) as fh:

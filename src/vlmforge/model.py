@@ -60,6 +60,19 @@ and each sample's first position zeroed, picks and weighs the scored rows
 (`_scored_rows`). The head and the cross-entropy run on those rows only
 (`_head_xent`); `_sample_means` averages them per sample.
 
+A training batch of two or more samples is two fixed halves (`_halves`),
+cut by the samples' lengths alone so that their positions balance. Each
+half is a training pass of its own (`_scored_grads`), whose cross-entropy
+sum and gradients are taken over the whole batch's scored weight, and the
+two add up: loss = (first sum + second sum) / total, grads = first +
+second. That is the definition of a batch's loss and gradients, on every
+host, and it agrees with one pass over the batch to rounding (within
+1e-12 relative). A batch of one sample is one pass. Where the process may
+run on two CPUs, a worker process computes the second half while the
+caller computes the first (`halves`); elsewhere the caller computes both,
+through the same function and so with the same bits. Every check runs on
+the whole batch, in the caller, before either half starts.
+
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
 freezing unit. The config fixes every name and shape, and `Model.views`
@@ -80,6 +93,14 @@ its trim threshold at HEAP_TRIM_THRESHOLD. The cost is memory: up
 to HEAP_TRIM_THRESHOLD (256 MiB) of freed heap stays mapped to the process
 instead of going back to the system. The setting is process-wide, and does
 nothing where the C library has no `mallopt` (anything but glibc).
+
+Importing it also pins every loaded OpenBLAS to one thread
+(`_one_blas_thread`). OpenBLAS splits a matmul's sums by its thread count,
+so a run's bits would otherwise depend on OMP_NUM_THREADS; a second BLAS
+thread never made a step faster, and training's worker takes the second
+core. Run manifests record the BLAS and its thread counts (`blas_record`).
+The bits also depend on OpenBLAS's kernel choice for the CPU, so identity
+across hosts is not claimed.
 """
 
 from __future__ import annotations
@@ -100,6 +121,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 from scipy.special import erf
 
+from . import halves
 from .errors import ConfigMismatchError, VlmforgeError
 from .manifest import atomic_open
 from .packing import TEXT, ByteTokenizer, PackedSample, tokens_per_image
@@ -142,6 +164,68 @@ def _keep_freed_memory() -> bool:
 
 
 _keep_freed_memory()
+
+
+def _loaded_openblas() -> list[tuple[str, ctypes.CDLL]]:
+    """(path, handle) of every OpenBLAS library mapped into this process, as
+    /proc/self/maps lists them; none where there is no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                            if len(parts) == 6 and "openblas" in os.path.basename(parts[5])})
+    except OSError:
+        return []
+    libs = []
+    for path in paths:
+        try:
+            libs.append((path, ctypes.CDLL(path)))
+        except OSError:  # replaced on disk since it was loaded
+            continue
+    return libs
+
+
+def _openblas_threads_fn(lib: ctypes.CDLL, verb: str):
+    """`lib`'s openblas_<verb>_num_threads under the export name its build
+    uses (numpy's and scipy's bundled builds prefix it, 64-bit-integer
+    builds suffix it), with its C types declared; None if it has none."""
+    for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+        fn = getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = ((ctypes.c_int,), None) if verb == "set" else ((), ctypes.c_int)
+            return fn
+    return None
+
+
+def _one_blas_thread() -> bool:
+    """Pin every loaded OpenBLAS to one thread, so that a run's bits do not
+    depend on OMP_NUM_THREADS; True if each one found took it. Where no
+    OpenBLAS, or no thread setter, is found, BLAS keeps its own count."""
+    pinned = []
+    for _, lib in _loaded_openblas():
+        setter, getter = _openblas_threads_fn(lib, "set"), _openblas_threads_fn(lib, "get")
+        if setter is not None and getter is not None:
+            setter(1)
+            pinned.append(getter() == 1)
+    if not pinned:
+        logger.info("no OpenBLAS thread setter found; BLAS keeps its own thread count")
+    return bool(pinned) and all(pinned)
+
+
+_one_blas_thread()
+
+
+def blas_record() -> dict:
+    """The BLAS numpy was built with, and each loaded OpenBLAS's thread count
+    by file name, for run manifests."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config instead
+        blas = {}
+    threads = {}
+    for path, lib in _loaded_openblas():
+        if (getter := _openblas_threads_fn(lib, "get")) is not None:
+            threads[os.path.basename(path)] = getter()
+    return {"name": blas.get("name"), "version": blas.get("version"), "threads": threads}
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +694,22 @@ def _sample_means(owner, ce, weights, n):
     return np.divide(total, count, out=np.zeros(n), where=count > 0)
 
 
+def _halves(lengths) -> tuple[list[int], list[int]]:
+    """A batch of two or more samples as two halves of sample indices, each
+    in batch order. Longest first, and in batch order among equal lengths,
+    each sample joins the half with fewer positions so far, the second on a
+    tie: the second half, which the worker takes, may hold more positions,
+    since the caller's share of a step also sends it and adds up. The
+    halves depend on the lengths alone, so their bits are the same on every
+    host."""
+    halves, sizes = ([], []), [0, 0]
+    for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
+        side = int(sizes[1] <= sizes[0])
+        halves[side].append(i)
+        sizes[side] += lengths[i]
+    return sorted(halves[0]), sorted(halves[1])
+
+
 def _sample_rows(samples):
     """Each sample's slice of a batch's flat rows."""
     ends = list(itertools.accumulate(len(s) for s in samples))
@@ -618,6 +718,17 @@ def _sample_rows(samples):
 
 # ---------------------------------------------------------------------------
 # the model
+
+
+class _Flat(typing.NamedTuple):
+    """A checked batch as flat rows (`Model._flatten`)."""
+
+    tokens: np.ndarray  # (N,) int64 token ids
+    text: np.ndarray  # (N,) bool, TEXT positions
+    scored: tuple | None  # a scored batch's (rows, targets, weights)
+    image_ids: list[str]  # the batch's images, each once, in order of first use
+    dst: np.ndarray  # every image slot's flat rows
+    src: list[int]  # each slot's first row in the projected image stack
 
 
 @dataclass
@@ -900,6 +1011,10 @@ class Model:
         for slot in sample.image_slots:
             if slot.image_id not in pixels:
                 raise VlmforgeError(f"image slot {slot.image_id!r} is not bound to pixels")
+            grid = np.shape(pixels[slot.image_id])
+            if grid != (cfg.resolution, cfg.resolution, 3):
+                raise ConfigMismatchError(
+                    f"pixel grid {grid} does not match resolution {cfg.resolution}")
             if slot.length != cfg.slot_length:
                 raise ConfigMismatchError(
                     f"slot length {slot.length} != model slot length {cfg.slot_length}"
@@ -908,6 +1023,37 @@ class Model:
                 raise ConfigMismatchError(
                     f"image slot {slot.image_id!r} at {slot.start} leaves the sample's "
                     f"{len(sample)} positions")
+
+    def _flatten(self, samples: list[PackedSample], pixels, scored: bool) -> _Flat:
+        """Check a batch and lay it out as flat rows.
+
+        Every check a pass makes runs here, before any block: each sample's
+        own (`_check_sample`), then the batch's modality mask, then, for a
+        scored batch, its loss mask (`_scored_rows`), and last that the
+        IMAGE positions are exactly the rows of the image slots, each
+        covered once."""
+        for sample in samples:
+            self._check_sample(sample, pixels)
+        S = self.cfg.slot_length
+        tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64)
+        modality = np.concatenate([s.modality_mask for s in samples])
+        _check_binary(modality, "modality")
+        text = modality == TEXT
+        score = self._scored_rows(samples, tokens, text) if scored else None
+        image_ids = list(dict.fromkeys(
+            slot.image_id for s in samples for slot in s.image_slots))
+        index = {image_id: k for k, image_id in enumerate(image_ids)}
+        dst, src, offset = [], [], 0
+        for s in samples:
+            for slot in s.image_slots:
+                dst.append(offset + slot.start)
+                src.append(index[slot.image_id] * S)
+            offset += len(s)
+        dst = (np.asarray(dst, dtype=np.int64)[:, None] + np.arange(S)).ravel()
+        if (np.bincount(dst, minlength=len(tokens)) != modality).any():  # IMAGE rows: one slot each
+            raise ConfigMismatchError("IMAGE positions are not exactly the image slots' "
+                                      "positions, each covered once")
+        return _Flat(tokens, text, score, image_ids, dst, src)
 
     def _forward(self, samples: list[PackedSample], pixels, train: bool,
                  kv: KVCache | None = None, scored: bool = False) -> _Pass:
@@ -919,38 +1065,19 @@ class Model:
         first, so a bad loss mask, one with a loss bit at an IMAGE position
         included, is refused, as a bad modality mask is, before any block
         runs; so are IMAGE positions that are not exactly the rows of the
-        image slots, each covered once. Given an empty KVCache, the pass
-        is the first sample's prefill, and every later sample continues that
-        one, as a layout with that sample as its prefix lays them out. The
-        head then reads only the first sample's last row, which predicts
-        what follows it, and the later samples' rows, so the decoder's
-        output starts at that row.
+        image slots, each covered once (`_flatten`). Given an empty KVCache,
+        the pass is the first sample's prefill, and every later sample
+        continues that one, as a layout with that sample as its prefix lays
+        them out. The head then reads only the first sample's last row,
+        which predicts what follows it, and the later samples' rows, so the
+        decoder's output starts at that row.
         """
         pixels = pixels or {}
-        for sample in samples:
-            self._check_sample(sample, pixels)
+        tokens, text, score, image_ids, dst, src = self._flatten(samples, pixels, scored)
         cfg, p = self.cfg, self.params
+        S = cfg.slot_length
         lengths = [len(s) for s in samples]
         layout = _Layout(lengths) if kv is None else _Layout(lengths[1:], prefix=lengths[0])
-        tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64)
-        modality = np.concatenate([s.modality_mask for s in samples])
-        _check_binary(modality, "modality")
-        text = modality == TEXT
-        score = self._scored_rows(samples, tokens, text) if scored else None
-        image_ids = list(dict.fromkeys(
-            slot.image_id for s in samples for slot in s.image_slots))
-        index = {image_id: k for k, image_id in enumerate(image_ids)}
-        S = cfg.slot_length
-        dst, src, offset = [], [], 0
-        for s in samples:
-            for slot in s.image_slots:
-                dst.append(offset + slot.start)
-                src.append(index[slot.image_id] * S)
-            offset += len(s)
-        dst = (np.asarray(dst, dtype=np.int64)[:, None] + np.arange(S)).ravel()
-        if (np.bincount(dst, minlength=len(tokens)) != modality).any():  # IMAGE rows: one slot each
-            raise ConfigMismatchError("IMAGE positions are not exactly the image slots' "
-                                      "positions, each covered once")
         x = p["embed.tok"][tokens]
         images = None
         if image_ids:
@@ -1062,34 +1189,59 @@ class Model:
     ):
         """Mean masked next-token cross-entropy over a (micro)batch, and its gradients.
 
-        The mean is over all masked target positions across the batch; the
-        batch runs as one pass. Gradients cover every parameter group, frozen
-        or not, when `trainable` is None; otherwise only the named groups get
-        gradient arrays, and backward skips every weight gradient and every
-        layer below that none of them needs. An all-masked batch is flagged
-        and yields exactly zero loss and gradients.
+        The mean is over all masked target positions across the batch.
+        Gradients cover every parameter group, frozen or not, when
+        `trainable` is None; otherwise only the named groups get gradient
+        arrays, and backward skips every weight gradient and every layer
+        below that none of them needs. Every check runs on the whole batch
+        first; an all-masked batch is then flagged and yields exactly zero
+        loss and gradients, with no pass run.
+
+        A batch of one sample runs as one pass. A larger batch is two fixed
+        halves (`_halves`), each a pass of its own whose cross-entropy sum and
+        gradients are taken over the whole batch's scored weight `total`,
+        and they add up: loss = (first sum + second sum) / total, grads =
+        first + second. The second half runs in this process's
+        worker where there is one (`halves`), and here otherwise, through
+        the same `_scored_grads`, so the bits do not depend on the host.
         """
-        if isinstance(samples, PackedSample):
-            samples = [samples]
+        samples = [samples] if isinstance(samples, PackedSample) else list(samples)
         train = set(PARAM_GROUPS if trainable is None else trainable)
-        # np.zeros, not zeros_like: the same zeros without its dispatch overhead
-        grads = {name: np.zeros(arr.shape, arr.dtype) for name, arr in self.params.items()
-                 if self.group_of(name) in train}
-        fw = self._forward(samples, pixels, train=True, scored=True)
-        rows, targets, weights = fw.scored
-        total = float(weights.sum())
+        grads = self._zero_grads(train)
+        total = float(self._flatten(samples, pixels or {}, scored=True).scored[2].sum())
         if total == 0.0:
             logger.warning("loss_and_grads: batch has no loss-masked positions")
             return 0.0, grads
+        if len(samples) == 1:
+            return self._scored_grads(samples, pixels, train, total, grads) / total, grads
+        first, second = ([samples[i] for i in half] for half in _halves([len(s) for s in samples]))
+        with halves.second_half(self, second, pixels, train, total) as second_half:
+            ce = self._scored_grads(first, pixels, train, total, grads)
+            other_ce, other_grads = second_half()
+            for name, g in grads.items():
+                g += other_grads[name]
+        return (ce + other_ce) / total, grads
+
+    def _zero_grads(self, train) -> dict[str, np.ndarray]:
+        """Zeroed gradient arrays for the parameters of the groups in `train`."""
+        # np.zeros, not zeros_like: the same zeros without its dispatch overhead
+        return {name: np.zeros(arr.shape, arr.dtype) for name, arr in self.params.items()
+                if self.group_of(name) in train}
+
+    def _scored_grads(self, samples, pixels, train, total: float, grads) -> float:
+        """One training pass over `samples`: returns the sum of its scored
+        rows' weighted cross-entropies, and adds the gradients of that sum
+        over `total` to `grads`, which holds the trainable parameters'."""
+        fw = self._forward(samples, pixels, train=True, scored=True)
+        rows, targets, weights = fw.scored
         normed = fw.normed[rows]
         ce, dlogits = self._head_xent(normed, targets)
-        loss = float(ce @ weights) / total
         dlogits *= (weights / total)[:, None]
         head = grads if "head" in train else None
         dnormed = _linear_bwd(dlogits, normed, self.params["head.w"], head, "head.w", "head.b")
         del dlogits  # (rows, vocab): freed before the decoder's backward
         self._backward(fw, rows, dnormed, grads, train)
-        return loss, grads
+        return float(ce @ weights)
 
     def _backward(self, fw: _Pass, rows, dnormed, grads, train):
         """Backward from the final LayerNorm's output gradient at the scored

@@ -1,7 +1,13 @@
+import json
+import os
+import time
+
 import numpy as np
 import pytest
 
+from vlmforge import halves
 from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
+from vlmforge.evaluation import EvalItem, EvalTask
 from vlmforge.model import Model, ModelConfig, TransformerBlockProjector
 from vlmforge.packing import TEXT, ByteTokenizer, PackedSample
 
@@ -23,6 +29,26 @@ def tiny_cfg():
 @pytest.fixture
 def tiny_model(tiny_cfg):
     return Model(tiny_cfg)
+
+
+@pytest.fixture
+def in_process_halves(monkeypatch):
+    """Both halves of every batch run in this process, as with no worker,
+    so that patched model internals see both."""
+    monkeypatch.setattr(halves._PROCESS, "ready", lambda: None)
+
+
+def ready_worker(timeout_s: float = 60.0) -> halves._Worker:
+    """This process's training worker, once started; skips where there is
+    none to start."""
+    if not halves._two_cpus():
+        pytest.skip("one CPU: no training worker")
+    deadline = time.monotonic() + timeout_s
+    while (worker := halves._PROCESS.ready()) is None:
+        assert not halves._PROCESS.failed, "the training worker failed"
+        assert time.monotonic() < deadline, "the training worker did not start"
+        time.sleep(0.05)
+    return worker
 
 
 def appended(prefix: PackedSample, ids, loss: bool = False) -> PackedSample:
@@ -95,3 +121,28 @@ def random_document(rng: np.random.Generator, doc_id: str,
                     fixed.append(seg)
             doc = InterleavedDocument(doc_id, fixed)
     return doc
+
+
+def save_task(task: EvalTask, path) -> None:
+    """Write `task` as a task file `evaluation.load_task` reads: to `path`,
+    and its demo pool, if any, beside it as `<file name>.demos`."""
+
+    def dump(item: EvalItem) -> str:
+        obj = {"item_id": item.item_id, "prompt": item.prompt, "answer": item.answer}
+        if item.image_id is not None:
+            obj["image_id"] = item.image_id
+        if item.candidates is not None:
+            obj["candidates"] = item.candidates
+        return json.dumps(obj)
+
+    header = {"name": task.name, "metric": task.metric}
+    if task.demo_pool:
+        header["demo_pool"] = os.path.basename(os.fspath(path)) + ".demos"
+        pool_path = os.path.join(os.path.dirname(os.fspath(path)), header["demo_pool"])
+        with open(pool_path, "w", encoding="utf-8") as fh:
+            for demo in task.demo_pool:
+                fh.write(dump(demo) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for item in task.items:
+            fh.write(dump(item) + "\n")

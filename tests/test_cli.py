@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from conftest import save_task
 
 from vlmforge import trainer
 from vlmforge.cli import build_parser, main
@@ -115,6 +116,16 @@ class TestCorpusCommands:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["corpus", "stats", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_non_utf8_line_skipped_or_exits_2(self, tmp_path, capsys):
+        pairs = tmp_path / "p.jsonl"
+        pairs.write_bytes(b'{"image_id": "a", "caption": "one", "clip_score": 0.5}\n'
+                          b'{"image_id": "b", "caption": "tw\xff", "clip_score": 0.5}\n'
+                          b'{"image_id": "c", "caption": "three", "clip_score": 0.5}\n')
+        assert main(["corpus", "stats", str(pairs), "--format", "pairs-jsonl"]) == 0
+        assert json.loads(capsys.readouterr().out)["num_docs"] == 2
+        assert main(["corpus", "stats", str(pairs), "--format", "pairs-jsonl", "--strict"]) == 2
+        assert f"{pairs}:line 2: byte 0xff" in capsys.readouterr().err
+
     def test_to_pairs_and_topk(self, corpora, tmp_path, capsys):
         pairs_out = tmp_path / "pairs.jsonl"
         rc = main(["corpus", "to-pairs", str(corpora["interleaved"]), str(pairs_out)])
@@ -198,6 +209,9 @@ class TestPipeline:
                      "--steps", "1,1,1", "--batch-size", "2", "--eval-items", "2"]) == 0
         manifest = out / "runlog.csv.manifest.json"
         outputs = json.loads(manifest.read_text())["outputs"]
+        blas = json.loads(manifest.read_text())["blas"]
+        assert blas.keys() == {"name", "version", "threads"}
+        assert set(blas["threads"].values()) <= {1}
         assert len(outputs) == len(set(outputs))
         assert set(outputs) == {str(p) for p in out.iterdir() if p != manifest}
         assert {p.name for p in out.iterdir()} >= {"init-projector.ckpt", "pretrain.ckpt",
@@ -259,7 +273,7 @@ class TestPipeline:
 
 
 def test_eval_run_four_shot_exact_match(tmp_path, capsys):
-    from vlmforge.evaluation import EvalItem, EvalTask, save_task
+    from vlmforge.evaluation import EvalItem, EvalTask
 
     cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
                       vision_layers=1, llm_layers=2, heads=2,
@@ -397,7 +411,7 @@ class TestBadInputsExit2:
         assert "'candidates'" in capsys.readouterr().err
 
     def test_candidate_past_max_positions(self, tmp_path, capsys):
-        from vlmforge.evaluation import EvalItem, EvalTask, save_task
+        from vlmforge.evaluation import EvalItem, EvalTask
 
         cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
                           vision_layers=1, llm_layers=2, heads=2,
@@ -615,6 +629,53 @@ class TestBadTaskHeaderExit2:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{task}:line 1:" in err and message in err
+
+
+class TestNonUtf8TextInputsExit2:
+    """A byte that is not UTF-8 in a task file, its demo pool, a runlog, a
+    config or a plan exits 2, naming the file and the line it is on."""
+
+    @staticmethod
+    def task_files(tmp_path, task_line, pool_line):
+        task, pool = tmp_path / "task.jsonl", tmp_path / "task.jsonl.demos"
+        item = json.dumps({"item_id": "i0", "prompt": "p: ", "answer": "red",
+                           "candidates": ["red", "blue"]}).encode()
+        header = json.dumps({"name": "t", "metric": "candidate-rank",
+                             "demo_pool": pool.name}).encode()
+        demo = json.dumps({"item_id": "d0", "prompt": "p: ", "answer": "red"}).encode()
+        task.write_bytes(header + b"\n" + task_line.replace(b"ITEM", item) + b"\n")
+        pool.write_bytes(pool_line.replace(b"DEMO", demo) + b"\n")
+        return task, pool
+
+    @pytest.mark.parametrize("where", ["task", "demo-pool"])
+    def test_task_and_demo_pool(self, tmp_path, capsys, where):
+        ckpt = tmp_path / "m.ckpt"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        bad = b'{"item_id": "x\xff"}'
+        task, pool = self.task_files(tmp_path, bad if where == "task" else b"ITEM",
+                                     b"DEMO\n" + bad if where == "demo-pool" else b"DEMO")
+        rc = main(["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{task if where == 'task' else pool}:line 2: byte 0xff is not UTF-8" in err
+
+    def test_runlog(self, tmp_path, capsys):
+        good = TestCompareLossInputs.write_log(tmp_path / "a.csv")
+        bad = tmp_path / "b.csv"
+        bad.write_bytes(good.read_bytes().replace(b"pretrain", b"pre\xfe", 3))
+        assert main(["train", "compare-loss", str(good), str(bad)]) == 2
+        assert f"{bad}:line 2: byte 0xfe is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--plan"])
+    def test_config_and_plan(self, corpora, tmp_path, capsys, flag):
+        path = tmp_path / "obj.json"
+        path.write_bytes(b'{\n "seed": 1\xff\n}\n')
+        preset = ["--preset", "c"] if flag == "--config" else []
+        rc = main(["train", "run", flag, str(path), *preset,
+                   "--corpus-b", str(corpora["pairs"]), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{path}:line 2: byte 0xff is not UTF-8" in capsys.readouterr().err
 
 
 class TestCompareLossInputs:

@@ -58,6 +58,22 @@ class TestParseCorpus:
         skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
         assert len(skipped) == 1 and ":line 2:" in skipped[0]
 
+    def test_non_utf8_line_skipped_or_raised_with_its_number(self, tmp_path, caplog):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"image_id": "a", "caption": "one", "clip_score": 0.5}\n'
+                         b'{"image_id": "b", "caption": "tw\xff", "clip_score": 0.5}\n'
+                         b'{"image_id": "c", "caption": "thr\xc3\xa9\xe2", "clip_score": 0.5}\n'
+                         b'{"image_id": "d", "caption": "caf\xc3\xa9", "clip_score": 0.5}\n')
+        with caplog.at_level(logging.WARNING, logger="vlmforge.corpus"):
+            pairs = list(parse_corpus(path, "pairs-jsonl"))
+        assert [(p.image_id, p.caption) for p in pairs] == [("a", "one"), ("d", "caf\xe9")]
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert [m.split(": skipped")[0] for m in skipped] == [f"{path}:line 2", f"{path}:line 3"]
+        assert "byte 0xff" in skipped[0] and "byte 0xe2" in skipped[1]
+        with pytest.raises(CorpusFormatError, match="not UTF-8") as err:
+            list(parse_corpus(path, "pairs-jsonl", strict=True))
+        assert err.value.line_no == 2
+
     def test_strict_mode_raises(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, ['{"doc_id":"d0"}'])

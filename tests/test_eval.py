@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import appended, candidate_ce
+from conftest import appended, candidate_ce, save_task
 
 from vlmforge.errors import ConfigMismatchError, VlmforgeError
 from vlmforge.evaluation import (
@@ -9,7 +9,6 @@ from vlmforge.evaluation import (
     build_kshot,
     load_task,
     run_eval,
-    save_task,
     score_item,
 )
 from vlmforge.model import Model

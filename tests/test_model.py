@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import json
+import logging
 import platform
 import re
 import resource
@@ -839,16 +840,18 @@ class TestBatchedPath:
                 getattr(model, entry)(batch, pixels)
         assert calls == []
 
-    def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch):
-        """Backward reuses the QKV weights its forward fused."""
+    def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch,
+                                                           in_process_halves):
+        """Backward reuses the QKV weights its forward fused: each of the
+        batch's two halves fuses each block once."""
         cfg = self.cfg(TransformerBlockProjector(2))
         batch, pixels = self.mixed_batch(tok, cfg)
         fused, qkv_weights = [], model_module._qkv_weights
         monkeypatch.setattr(model_module, "_qkv_weights",
                             lambda p, prefix: (fused.append(prefix), qkv_weights(p, prefix))[1])
         Model(cfg).loss_and_grads(batch, pixels)  # every group trains, the encoder too
-        assert sorted(fused) == ["llm.block0.attn", "llm.block1.attn", "projector.block.attn",
-                                 "vision.block0.attn"]
+        assert sorted(fused) == sorted(2 * ["llm.block0.attn", "llm.block1.attn",
+                                            "projector.block.attn", "vision.block0.attn"])
 
     def test_float32_gradients(self, tok):
         cfg = dataclasses.replace(self.cfg(TransformerBlockProjector(2)), dtype="float32")
@@ -1100,23 +1103,28 @@ class TestLastBlockRows:
 
     @pytest.mark.parametrize("entry", ["continuation_losses", "prefill", "loss_and_grads",
                                        "forward"])
-    def test_last_block_output_rows(self, tok, monkeypatch, entry):
+    def test_last_block_output_rows(self, tok, monkeypatch, in_process_halves, entry):
         cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
         model = Model(cfg)
         sample, pixels = TestKVCache.two_image_sample(tok, cfg)
         short = make_sample(tok, cfg, "short", image_ids=())
         ids = [tok.encode(c) for c in ("red", "x", "a longer candidate")]
-        call, every, last = {
+        layers = cfg.llm_layers
+        call, rows = {
             "continuation_losses": (lambda: model.continuation_losses(sample, ids, pixels),
-                                    len(sample) + sum(map(len, ids)), 1 + sum(map(len, ids))),
-            "prefill": (lambda: model.prefill(sample, pixels), len(sample), 1),
+                                    [len(sample) + sum(map(len, ids))] * (layers - 1)
+                                    + [1 + sum(map(len, ids))]),
+            "prefill": (lambda: model.prefill(sample, pixels),
+                        [len(sample)] * (layers - 1) + [1]),
+            # a training batch's two halves are passes of their own, and the
+            # longer sample goes to the second
             "loss_and_grads": (lambda: model.loss_and_grads([sample, short], pixels),
-                               len(sample) + len(short), len(sample) + len(short)),
+                               [len(short)] * layers + [len(sample)] * layers),
             "forward": (lambda: model.forward([sample, short], pixels),
-                        len(sample) + len(short), len(sample) + len(short)),
+                        [len(sample) + len(short)] * layers),
         }[entry]
         _, calls = decoder_rows(monkeypatch, call)
-        assert [rows for _, rows in calls] == [every] * (cfg.llm_layers - 1) + [last]
+        assert [n for _, n in calls] == rows
 
     def test_without_decoder_blocks_the_final_layer_norm_is_cut(self, tok):
         cfg = dataclasses.replace(TestBatchedPath.cfg(Linear()), llm_layers=0)
@@ -1308,3 +1316,52 @@ class TestFreedMemoryStaysInHeap:
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         assert model_mod._keep_freed_memory() is False
+
+
+class TestOneBlasThread:
+    """Importing the model pins every OpenBLAS it finds to one thread, so a
+    run's bits do not depend on OMP_NUM_THREADS."""
+
+    @staticmethod
+    def fake_openblas(*names):
+        """A library exporting `names`, each a function that records its
+        calls and returns 1; and the list of calls."""
+        calls = []
+
+        def export(name):
+            def fn(*args):
+                calls.append((name, args))
+                return 1
+            return fn
+
+        return types.SimpleNamespace(**{name: export(name) for name in names}), calls
+
+    @pytest.mark.parametrize("prefix, suffix", [("scipy_", "64_"), ("", "64_"), ("", ""),
+                                                ("scipy_", "")])
+    def test_pins_each_build_under_its_export_name(self, monkeypatch, prefix, suffix):
+        from vlmforge import model as model_mod
+
+        setter, getter = (f"{prefix}openblas_{verb}_num_threads{suffix}" for verb in ("set", "get"))
+        lib, calls = self.fake_openblas(setter, getter)
+        monkeypatch.setattr(model_mod, "_loaded_openblas", lambda: [("/lib/libopenblas.so", lib)])
+        assert model_mod._one_blas_thread()
+        assert calls == [(setter, (1,)), (getter, ())]
+        assert model_mod.blas_record()["threads"] == {"libopenblas.so": 1}
+
+    @pytest.mark.parametrize("libs", [[], [("/lib/libopenblas.so", types.SimpleNamespace())]],
+                             ids=["no-openblas", "no-setter"])
+    def test_without_a_setter_logs_and_returns_false(self, monkeypatch, caplog, libs):
+        from vlmforge import model as model_mod
+
+        monkeypatch.setattr(model_mod, "_loaded_openblas", lambda: libs)
+        with caplog.at_level(logging.INFO, logger="vlmforge.model"):
+            assert model_mod._one_blas_thread() is False
+        assert "no OpenBLAS thread setter found" in caplog.text
+
+    def test_numpys_openblas_runs_one_thread(self):
+        from vlmforge import model as model_mod
+
+        record = model_mod.blas_record()
+        if not record["threads"]:
+            pytest.skip("no OpenBLAS with a thread count is loaded")
+        assert set(record["threads"].values()) == {1}

@@ -376,3 +376,45 @@ def test_stage_spec_rejects_counts_below_one(key, value):
     fields[key] = value
     with pytest.raises(VlmforgeError, match=f"{key} must be at least 1, not {value}"):
         StageSpec(**fields)
+
+
+STAGE_BITS = """
+import hashlib, json
+from vlmforge.fixtures import FixtureSpec, make_interleaved, make_pairs
+from vlmforge.model import Model, ModelConfig, TransformerBlockProjector
+from vlmforge.packing import ByteTokenizer
+from vlmforge.trainer import ALL_TRAINABLE, RecipeCorpora, StageSpec, run_stage, stage_batches
+
+cfg = ModelConfig(resolution=16, patch=8, vision_dim=16, model_dim=32, ffn_dim=64,
+                  vision_layers=1, llm_layers=2, heads=2,
+                  projector=TransformerBlockProjector(), max_positions=96, seed=3)
+spec = FixtureSpec(n_docs=40, images_per_doc=2, tokens_per_image=28, n_pairs=80, seed=3)
+corpora = RecipeCorpora(make_interleaved(spec), make_pairs(spec))
+stage = StageSpec("pretrain", ALL_TRAINABLE, 20, 3e-3, batch_size=8)
+model = Model(cfg)
+log, _ = run_stage(stage, model, stage_batches(stage, corpora, ByteTokenizer(), cfg,
+                                               cfg.max_positions, 3))
+print(json.dumps({"losses": [r.loss.hex() for r in log.records],
+                  "groups": {g: model.group_checksum(g) for g in model.group_names()}}))
+"""
+
+
+def test_stage_bits_do_not_depend_on_blas_threads():
+    """The same stage at one BLAS thread and at two gives the same losses
+    and parameters, bit for bit: the model pins OpenBLAS to one thread."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", STAGE_BITS], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    assert runs[0] == runs[1]
