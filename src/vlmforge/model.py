@@ -56,8 +56,8 @@ pass as `forward`, runs neither.
 
 Every loss is next-token cross-entropy: row r of the flat batch predicts
 token r + 1, and one loss mask over the batch, 0 at every IMAGE position
-and each sample's first position zeroed, picks and weighs the scored rows
-(`_scored_rows`). The head and the cross-entropy run on those rows only
+and at each sample's first position, picks and weighs the scored rows
+(`_flatten`). The head and the cross-entropy run on those rows only
 (`_head_xent`); `_sample_means` averages them per sample.
 
 A training batch of two or more samples is two fixed halves (`_halves`),
@@ -70,8 +70,13 @@ host, and it agrees with one pass over the batch to rounding (within
 1e-12 relative). A batch of one sample is one pass. Where the process may
 run on two CPUs, a worker process computes the second half while the
 caller computes the first (`halves`); elsewhere the caller computes both,
-through the same function and so with the same bits. Every check runs on
-the whole batch, in the caller, before either half starts.
+through the same function and so with the same bits.
+
+Each public entry that takes samples checks its batch once, before any
+block runs (`_check`): the sample contract that shards are held to too
+(`packing.check_batch`), then the model's own limits. The passes behind
+the entries check nothing, so neither half of a training step, here or in
+the worker, re-checks its slice; `extend` checks only its new ids.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
@@ -124,7 +129,7 @@ from scipy.special import erf
 from . import halves
 from .errors import ConfigMismatchError, VlmforgeError
 from .manifest import atomic_open
-from .packing import TEXT, ByteTokenizer, PackedSample, tokens_per_image
+from .packing import TEXT, ByteTokenizer, PackedSample, check_batch, tokens_per_image
 
 logger = logging.getLogger(__name__)
 
@@ -679,13 +684,6 @@ def _xent_(logits, targets):
     return np.log(z) - picked
 
 
-def _check_binary(mask, name):
-    """A batch's flat modality or loss mask holds only 0 and 1: another value
-    would weigh a target, or mark a position as neither text nor image."""
-    if ((mask != 0) & (mask != 1)).any():
-        raise ConfigMismatchError(f"{name} mask holds values other than 0 and 1")
-
-
 def _sample_means(owner, ce, weights, n):
     """Each of `n` samples' weighted mean of the per-row losses `ce`, row i
     belonging to sample owner[i]; 0 for a sample whose rows weigh nothing."""
@@ -718,17 +716,6 @@ def _sample_rows(samples):
 
 # ---------------------------------------------------------------------------
 # the model
-
-
-class _Flat(typing.NamedTuple):
-    """A checked batch as flat rows (`Model._flatten`)."""
-
-    tokens: np.ndarray  # (N,) int64 token ids
-    text: np.ndarray  # (N,) bool, TEXT positions
-    scored: tuple | None  # a scored batch's (rows, targets, weights)
-    image_ids: list[str]  # the batch's images, each once, in order of first use
-    dst: np.ndarray  # every image slot's flat rows
-    src: list[int]  # each slot's first row in the projected image stack
 
 
 @dataclass
@@ -995,51 +982,45 @@ class Model:
         if len(ids) and (ids.min() < 0 or ids.max() >= self.cfg.vocab_size):
             raise ConfigMismatchError("token id out of vocabulary range")
 
-    def _check_sample(self, sample: PackedSample, pixels: dict[str, np.ndarray]):
-        cfg = self.cfg
-        if not len(sample):
-            raise ConfigMismatchError("empty sample: no position to decode")
-        if not len(sample.modality_mask) == len(sample.loss_mask) == len(sample):
+    def _check(self, samples: list[PackedSample], pixels) -> None:
+        """Refuse a batch that breaks the sample contract (`check_batch`) or
+        this model's limits: max_positions, the vocabulary, the slot length,
+        and pixels bound at its resolution. Each public entry calls this
+        once per call, before any block runs."""
+        check_batch(samples)
+        cfg, pixels = self.cfg, pixels or {}
+        longest = max(len(s) for s in samples)
+        if longest > cfg.max_positions:
             raise ConfigMismatchError(
-                f"mask lengths (modality {len(sample.modality_mask)}, loss "
-                f"{len(sample.loss_mask)}) differ from the {len(sample)} tokens")
-        if len(sample) > cfg.max_positions:
-            raise ConfigMismatchError(
-                f"sample length {len(sample)} exceeds max_positions {cfg.max_positions}"
-            )
-        self._check_ids(sample.tokens)
-        for slot in sample.image_slots:
-            if slot.image_id not in pixels:
-                raise VlmforgeError(f"image slot {slot.image_id!r} is not bound to pixels")
-            grid = np.shape(pixels[slot.image_id])
-            if grid != (cfg.resolution, cfg.resolution, 3):
-                raise ConfigMismatchError(
-                    f"pixel grid {grid} does not match resolution {cfg.resolution}")
-            if slot.length != cfg.slot_length:
-                raise ConfigMismatchError(
-                    f"slot length {slot.length} != model slot length {cfg.slot_length}"
-                )
-            if slot.start < 0 or slot.start + slot.length > len(sample):
-                raise ConfigMismatchError(
-                    f"image slot {slot.image_id!r} at {slot.start} leaves the sample's "
-                    f"{len(sample)} positions")
+                f"sample length {longest} exceeds max_positions {cfg.max_positions}")
+        self._check_ids(np.concatenate([s.tokens for s in samples]))
+        S, grid = cfg.slot_length, (cfg.resolution, cfg.resolution, 3)
+        for s in samples:
+            for slot in s.image_slots:
+                if slot.image_id not in pixels:
+                    raise VlmforgeError(f"image slot {slot.image_id!r} is not bound to pixels")
+                if np.shape(pixels[slot.image_id]) != grid:
+                    raise ConfigMismatchError(f"pixel grid {np.shape(pixels[slot.image_id])} "
+                                              f"does not match resolution {cfg.resolution}")
+                if slot.length != S:
+                    raise ConfigMismatchError(
+                        f"slot length {slot.length} != model slot length {S}")
 
-    def _flatten(self, samples: list[PackedSample], pixels, scored: bool) -> _Flat:
-        """Check a batch and lay it out as flat rows.
-
-        Every check a pass makes runs here, before any block: each sample's
-        own (`_check_sample`), then the batch's modality mask, then, for a
-        scored batch, its loss mask (`_scored_rows`), and last that the
-        IMAGE positions are exactly the rows of the image slots, each
-        covered once."""
-        for sample in samples:
-            self._check_sample(sample, pixels)
+    def _flatten(self, samples: list[PackedSample], scored: bool) -> tuple:
+        """A checked batch (`_check`) as flat rows: the int64 token ids, the
+        TEXT mask, a scored batch's scored rows, the images in order of first
+        use, every slot's flat rows and each slot's first row in the
+        projected image stack. Scored row r predicts token r + 1 and weighs
+        as its loss bit; no sample has one at its first position, so a
+        sample's last row predicts nothing."""
         S = self.cfg.slot_length
         tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64)
-        modality = np.concatenate([s.modality_mask for s in samples])
-        _check_binary(modality, "modality")
-        text = modality == TEXT
-        score = self._scored_rows(samples, tokens, text) if scored else None
+        text = np.concatenate([s.modality_mask for s in samples]) == TEXT
+        score = None
+        if scored:
+            mask = np.concatenate([s.loss_mask for s in samples])
+            rows = np.flatnonzero(mask[1:])
+            score = rows, tokens[rows + 1], mask[rows + 1].astype(np.float64)
         image_ids = list(dict.fromkeys(
             slot.image_id for s in samples for slot in s.image_slots))
         index = {image_id: k for k, image_id in enumerate(image_ids)}
@@ -1050,30 +1031,24 @@ class Model:
                 src.append(index[slot.image_id] * S)
             offset += len(s)
         dst = (np.asarray(dst, dtype=np.int64)[:, None] + np.arange(S)).ravel()
-        if (np.bincount(dst, minlength=len(tokens)) != modality).any():  # IMAGE rows: one slot each
-            raise ConfigMismatchError("IMAGE positions are not exactly the image slots' "
-                                      "positions, each covered once")
-        return _Flat(tokens, text, score, image_ids, dst, src)
+        return tokens, text, score, image_ids, dst, src
 
     def _forward(self, samples: list[PackedSample], pixels, train: bool,
                  kv: KVCache | None = None, scored: bool = False) -> _Pass:
-        """Embed, merge the images in, and run the decoder over a whole batch.
+        """Embed, merge the images in, and run the decoder over a whole batch,
+        which the entry that took it has checked (`_check`).
 
         A training pass keeps what backward needs; any other pass keeps the
         hidden states instead; the final LayerNorm runs when a caller first
-        reads `normed` or `final_ln`. A scored pass picks its scored rows
-        first, so a bad loss mask, one with a loss bit at an IMAGE position
-        included, is refused, as a bad modality mask is, before any block
-        runs; so are IMAGE positions that are not exactly the rows of the
-        image slots, each covered once (`_flatten`). Given an empty KVCache,
-        the pass is the first sample's prefill, and every later sample
-        continues that one, as a layout with that sample as its prefix lays
-        them out. The head then reads only the first sample's last row,
-        which predicts what follows it, and the later samples' rows, so the
-        decoder's output starts at that row.
+        reads `normed` or `final_ln`. Given an empty KVCache, the pass is
+        the first sample's prefill, and every later sample continues that
+        one, as a layout with that sample as its prefix lays them out. The
+        head then reads only the first sample's last row, which predicts
+        what follows it, and the later samples' rows, so the decoder's
+        output starts at that row.
         """
         pixels = pixels or {}
-        tokens, text, score, image_ids, dst, src = self._flatten(samples, pixels, scored)
+        tokens, text, score, image_ids, dst, src = self._flatten(samples, scored)
         cfg, p = self.cfg, self.params
         S = cfg.slot_length
         lengths = [len(s) for s in samples]
@@ -1138,6 +1113,7 @@ class Model:
         """
         p = self.params
         samples = [sample] if isinstance(sample, PackedSample) else list(sample)
+        self._check(samples, pixels)
         fw = self._forward(samples, pixels, train=False)
         logits = fw.normed @ p["head.w"] + p["head.b"]
         if isinstance(sample, PackedSample):
@@ -1151,28 +1127,11 @@ class Model:
         them, from one batched pass that runs neither the final LayerNorm
         nor the head."""
         samples = list(samples)
+        self._check(samples, pixels)
         fw = self._forward(samples, pixels, train=False)
         return [[h[rows] for h in fw.hidden] for rows in _sample_rows(samples)]
 
     # -- loss and gradients
-
-    def _scored_rows(self, samples, tokens, text):
-        """The flat rows that carry loss, their targets and their weights.
-
-        Row r predicts the token at r + 1 of the flat `tokens`, the target,
-        and weighs as that position's loss mask. A loss bit is refused at an
-        IMAGE position, whose token is only the placeholder the image's
-        rows replace, and zeroed at each sample's first position, so a
-        sample's last row predicts nothing.
-        """
-        lengths = [len(s) for s in samples]
-        mask = np.concatenate([s.loss_mask for s in samples])
-        _check_binary(mask, "loss")
-        if mask[~text].any():
-            raise ConfigMismatchError("loss mask must be 0 at IMAGE positions")
-        mask[np.cumsum(lengths) - lengths] = 0
-        rows = np.flatnonzero(mask[1:])
-        return rows, tokens[rows + 1], mask[rows + 1].astype(np.float64)
 
     def _head_xent(self, normed, targets):
         """The head's logits on the final-LN rows `normed`, and each row's
@@ -1206,9 +1165,10 @@ class Model:
         the same `_scored_grads`, so the bits do not depend on the host.
         """
         samples = [samples] if isinstance(samples, PackedSample) else list(samples)
+        self._check(samples, pixels)
         train = set(PARAM_GROUPS if trainable is None else trainable)
         grads = self._zero_grads(train)
-        total = float(self._flatten(samples, pixels or {}, scored=True).scored[2].sum())
+        total = float(sum(np.count_nonzero(s.loss_mask) for s in samples))
         if total == 0.0:
             logger.warning("loss_and_grads: batch has no loss-masked positions")
             return 0.0, grads
@@ -1280,6 +1240,7 @@ class Model:
         per-sample means. A sample with no masked position scores 0.
         """
         samples = [sample] if isinstance(sample, PackedSample) else list(sample)
+        self._check(samples, pixels)
         fw = self._forward(samples, pixels, train=False, scored=True)
         rows, targets, weights = fw.scored
         ce, _ = self._head_xent(fw.normed[rows], targets)
@@ -1296,6 +1257,7 @@ class Model:
         cache holds every position's keys and values; the last block's query
         side and the final LayerNorm run on the last position only.
         """
+        self._check([sample], pixels)
         kv = KVCache(self)
         fw = self._forward([sample], pixels, train=False, kv=kv)
         return kv, fw.normed[-1] @ self.params["head.w"] + self.params["head.b"]
@@ -1349,6 +1311,7 @@ class Model:
         # attend over as many positions as in the appended sequence
         fed = [PackedSample(c, np.full(len(c), TEXT, dtype=np.uint8),
                             np.zeros(len(c), dtype=np.uint8)) for c in ids]
+        self._check([prefix] + fed, pixels)
         fw = self._forward([prefix] + fed, pixels, train=False, kv=KVCache(self))
         # the output starts at the prefix's last row, which predicts every
         # continuation's first token; target j > 0 of a continuation is

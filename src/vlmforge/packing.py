@@ -12,8 +12,10 @@ documents (`pack_document`), the answer for SFT demos (`pack_sft`), none for
 in-context prompts (`pack_context`). Candidate ranking and greedy
 generation build no sample beyond the context: the model continues the
 context itself, every candidate in the context's own decoder pass and each
-generated token from a KV cache. Shards store the same layout, are written
-atomically and are checked against the layout as they are read.
+generated token from a KV cache. Shards store the same layout and are
+written atomically. `check_batch` states once what makes a sample well
+formed; `read_shard` checks each record with it, and the model each batch,
+once per call.
 """
 
 from __future__ import annotations
@@ -78,26 +80,56 @@ class PackedSample:
     def __len__(self) -> int:
         return int(self.tokens.shape[0])
 
-    def validate(self) -> None:
-        L = len(self)
-        if not (len(self.modality_mask) == len(self.loss_mask) == L):
-            raise ValueError("mask lengths disagree with tokens")
-        if (self.modality_mask > 1).any() or (self.loss_mask > 1).any():
-            raise ValueError("masks hold values other than 0 and 1")
-        covered = np.zeros(L, dtype=bool)
-        for slot in self.image_slots:
-            if slot.start < 0 or slot.start + slot.length > L:
-                raise ValueError(f"slot {slot} out of bounds")
-            if covered[slot.start : slot.start + slot.length].any():
-                raise ValueError(f"slot {slot} overlaps another slot")
-            covered[slot.start : slot.start + slot.length] = True
-        image_positions = self.modality_mask == IMAGE
-        if not np.array_equal(image_positions, covered):
-            raise ValueError("IMAGE positions are not exactly the slot positions")
-        if self.loss_mask[image_positions].any():
-            raise ValueError("loss_mask must be 0 at IMAGE positions")
-        if L and self.loss_mask[0]:
-            raise ValueError("loss_mask must be 0 at position 0")
+
+def check_batch(samples) -> None:
+    """Refuse a batch unless every sample keeps the sample contract, which
+    shards and the model share:
+    - at least one position, and masks as long as the tokens, of 0 and 1;
+    - image slots within the sample, whose positions are exactly the IMAGE
+      positions, each in one slot;
+    - no loss bit at an IMAGE position, whose token stands in for the
+      image, nor at the first position, which no position predicts.
+
+    Each rule runs once over the batch's concatenated arrays, in that
+    order; the first broken raises ConfigMismatchError with its own
+    message, which names no place in the batch. A model's own limits
+    (slot length, max_positions, vocabulary, pixels) are its to check."""
+    lengths = [len(s) for s in samples]
+    if not all(lengths):
+        raise ConfigMismatchError("empty sample: no position to decode")
+    for s in samples:
+        if not len(s.modality_mask) == len(s.loss_mask) == len(s):
+            raise ConfigMismatchError(
+                f"mask lengths (modality {len(s.modality_mask)}, loss {len(s.loss_mask)}) "
+                f"differ from the {len(s)} tokens")
+    N = sum(lengths)
+    masks = np.concatenate([s.modality_mask for s in samples] + [s.loss_mask for s in samples])
+    modality, loss = masks[:N], masks[N:]
+    if np.count_nonzero(masks) != np.count_nonzero(masks == 1):  # some nonzero value is not 1
+        wrong = (masks != 0) & (masks != 1)
+        name = "modality" if wrong[:N].any() else "loss"
+        raise ConfigMismatchError(f"{name} mask holds values other than 0 and 1")
+    # each slot's flat rows are a run of its length from its first row; a
+    # slot's head is that row less the rows of the slots before it
+    firsts, heads, sizes, first, covered = [], [], [], 0, 0
+    for s, L in zip(samples, lengths):
+        for slot in s.image_slots:
+            if slot.start < 0 or slot.length < 0 or slot.start + slot.length > L:
+                raise ConfigMismatchError(f"image slot {slot.image_id!r} at {slot.start} is out "
+                                          f"of bounds of the sample's {L} positions")
+            heads.append(first + slot.start - covered)
+            sizes.append(slot.length)
+            covered += slot.length
+        firsts.append(first)
+        first += L
+    rows = np.repeat(np.array(heads, dtype=np.int64), sizes) + np.arange(covered)
+    if np.count_nonzero(np.bincount(rows, minlength=N) != modality):
+        raise ConfigMismatchError("IMAGE positions are not exactly the image slots' "
+                                  "positions, each covered once")
+    if np.count_nonzero(np.logical_and(loss, modality)):
+        raise ConfigMismatchError("loss mask must be 0 at IMAGE positions")
+    if np.count_nonzero(loss[firsts]):
+        raise ConfigMismatchError("loss mask must be 0 at position 0")
 
 
 def tokens_per_image(resolution: int, patch: int, downsample: int = 1) -> int:
@@ -293,7 +325,8 @@ def write_shard(samples, path, vocab_hash: bytes, cfg_hash: bytes) -> int:
 
 def read_shard(path, vocab_hash: bytes, cfg_hash: bytes):
     """Stream samples back from a shard, refusing mismatched vocab/config and
-    any record that does not decode to a valid sample."""
+    any record that does not decode to a sample `check_batch` accepts, with
+    the record's byte offset."""
     with open(path, "rb") as fh:
         header = fh.read(8 + 4 + 32 + 32)
         if len(header) < 76 or header[:8] != SHARD_MAGIC:
@@ -318,8 +351,8 @@ def read_shard(path, vocab_hash: bytes, cfg_hash: bytes):
                 raise ShardFormatError(f"{path}: truncated record at byte {offset}")
             try:
                 sample = _decode_record(payload)
-                sample.validate()
-            except (struct.error, ValueError) as exc:
+                check_batch([sample])
+            except (struct.error, ValueError, ConfigMismatchError) as exc:
                 raise ShardFormatError(f"{path}: bad record at byte {offset}: {exc}") from None
             yield sample
 

@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import save_task
 
@@ -13,7 +14,7 @@ from vlmforge import trainer
 from vlmforge.cli import build_parser, main
 from vlmforge.fixtures import FixtureSpec, fixture_gen
 from vlmforge.model import Downsample, Model, ModelConfig, TransformerBlockProjector
-from vlmforge.packing import ByteTokenizer, config_hash, pack_sft, write_shard
+from vlmforge.packing import ByteTokenizer, PackedSample, config_hash, pack_sft, write_shard
 from vlmforge.trainer import LogRecord, RunLog
 
 
@@ -605,6 +606,18 @@ class TestShards:
                     config_hash(cfg.resolution, cfg.patch, cfg.downsample))
         assert self.align(tmp_path, shard) == 2
         assert "out of bounds" in capsys.readouterr().err
+
+    def test_empty_record_exits_2(self, tmp_path, capsys):
+        """A zero-length record is refused as the shard is read, at its byte
+        offset, not later by the model."""
+        cfg, tok = ModelConfig(), ByteTokenizer()
+        empty = PackedSample(np.zeros(0, np.uint32), np.zeros(0, np.uint8), np.zeros(0, np.uint8))
+        shard = tmp_path / "s.shard"
+        write_shard([empty, pack_sft(("img", "what? ", "y"), tok, cfg.slot_length)], shard,
+                    tok.vocab_hash(), config_hash(cfg.resolution, cfg.patch, cfg.downsample))
+        assert self.align(tmp_path, shard) == 2
+        err = capsys.readouterr().err
+        assert "bad record at byte 76: empty sample" in err and "Traceback" not in err
 
 
 class TestBadTaskHeaderExit2:

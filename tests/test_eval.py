@@ -12,7 +12,7 @@ from vlmforge.evaluation import (
     score_item,
 )
 from vlmforge.model import Model
-from vlmforge.packing import IMAGE, TEXT, bind_pixels, pack_sft, pixels_for
+from vlmforge.packing import IMAGE, TEXT, bind_pixels, check_batch, pack_sft, pixels_for
 from vlmforge.trainer import ALL_TRAINABLE, StageSpec, run_stage
 
 
@@ -56,7 +56,7 @@ class TestBuildKshot:
         s = build_kshot(item, 3, pool, 0, tok, 4, 256)
         assert len(s.image_slots) == 4
         assert s.image_slots[-1].image_id == "qimg"
-        s.validate()
+        check_batch([s])
         assert [slot.length for slot in s.image_slots] == [4] * 4
         assert int((s.modality_mask == IMAGE).sum()) == 16
 

@@ -34,10 +34,8 @@ from vlmforge.model import (
     _xent_,
 )
 from vlmforge.packing import (
-    IMAGE,
     TEXT,
     ByteTokenizer,
-    ImageSlot,
     PackedSample,
     bind_pixels,
     pack_document,
@@ -768,77 +766,6 @@ class TestBatchedPath:
         assert losses.shape == (len(batch),)
         for sample, got in zip(batch, losses):
             assert got == pytest.approx(model.sequence_loss(sample, pixels), rel=1e-12)
-
-    @pytest.mark.parametrize("entry", ["prefill", "generate", "continuation_losses",
-                                       "sequence_loss", "loss_and_grads"])
-    def test_empty_sample_rejected_before_any_block(self, tok, monkeypatch, entry):
-        """An empty sample, one whose masks are not as long as its tokens,
-        and one whose masks hold a value other than 0 and 1 would otherwise
-        decode nothing, score misaligned rows, weigh a target twice or drop
-        a text position's embedding gradient."""
-        model = Model(self.cfg(Linear()))
-        tokens = np.array([tok.bos, 1, 2, 3, 4], dtype=np.uint32)
-
-        def masks(n, *values):
-            return np.array(values or [0] * n, dtype=np.uint8)
-
-        cases = [(PackedSample(tokens[:0], masks(0), masks(0)), "empty sample"),
-                 (PackedSample(tokens, masks(4), masks(5)), "mask lengths"),
-                 (PackedSample(tokens, masks(5), masks(3)), "mask lengths"),
-                 (PackedSample(tokens, masks(5, 0, 3, 0, 0, 0), masks(5, 0, 1, 1, 1, 1)),
-                  "modality mask holds")]
-        doc = InterleavedDocument("d", [ImageSegment("img"), TextSegment("ABCD")])
-        [imaged] = pack_document(doc, tok, model.cfg.slot_length, model.cfg.max_positions)
-        pixels = bind_pixels([imaged], model.cfg.resolution)
-        if entry in ("sequence_loss", "loss_and_grads"):  # the entries that read a loss mask
-            cases.append((PackedSample(tokens, masks(5), masks(5, 0, 2, 1, 1, 1)),
-                          "loss mask holds"))
-            # a loss bit at an IMAGE position would train the row before it
-            # to predict the image placeholder id
-            image_loss = imaged.loss_mask | (imaged.modality_mask == IMAGE)
-            cases.append((dataclasses.replace(imaged, loss_mask=image_loss.astype(np.uint8)),
-                          "loss mask must be 0 at IMAGE positions"))
-        calls = []
-        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
-        for sample, message in cases:
-            args = (sample, [tok.encode("red")]) if entry == "continuation_losses" else (sample,)
-            with pytest.raises(ConfigMismatchError, match=message):
-                getattr(model, entry)(*args, pixels)
-        assert calls == []
-
-    @pytest.mark.parametrize("entry", ["forward", "sequence_loss", "loss_and_grads"])
-    def test_image_slots_must_match_the_sample(self, tok, monkeypatch, entry):
-        """IMAGE positions are exactly the rows of the sample's own slots, each
-        covered once. Otherwise IMAGE rows with no slot would keep their
-        token embedding but get no embed.tok gradient, a slot past its
-        sample's end would overwrite the next sample's first rows, or index
-        past the batch's last, and overlapping slots would merge one image
-        twice."""
-        model = Model(ModelConfig())
-        S = model.cfg.slot_length
-        tokens = np.array([tok.bos, *tok.encode("ABCDEFGH")], dtype=np.uint32)
-
-        def sample(n, image_rows, *slots):
-            modality = np.zeros(n, dtype=np.uint8)
-            modality[list(image_rows)] = IMAGE
-            return PackedSample(tokens[:n], modality, np.ones(n, dtype=np.uint8) - modality,
-                                [ImageSlot(start, S, "img") for start in slots])
-
-        text = sample(5, [])
-        past_end = sample(5, [3, 4], 3)
-        cases = [([sample(5, [1])], "IMAGE positions"),
-                 ([past_end, text], "leaves the sample"),
-                 ([text, past_end], "leaves the sample"),
-                 ([sample(5, [0, 1, 2, 3], -1)], "leaves the sample"),
-                 ([sample(9, range(1, 3 + S), 1, 3)], "IMAGE positions"),  # overlapping slots
-                 ([sample(9, range(1, 1 + S)), text], "IMAGE positions")]  # slot-less IMAGE rows
-        pixels = {"img": pixels_for("img", model.cfg.resolution)}
-        calls = []
-        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
-        for batch, message in cases:
-            with pytest.raises(ConfigMismatchError, match=message):
-                getattr(model, entry)(batch, pixels)
-        assert calls == []
 
     def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch,
                                                            in_process_halves):

@@ -13,6 +13,7 @@ from vlmforge.packing import (
     ImageSlot,
     PackedSample,
     bind_pixels,
+    check_batch,
     config_hash,
     pack_document,
     pack_sft,
@@ -68,7 +69,7 @@ class TestPackDocument:
         assert list(sample.modality_mask) == [TEXT] + [IMAGE] * 4 + [TEXT] * 4
         assert list(sample.loss_mask) == [0, 0, 0, 0, 0, 1, 1, 1, 1]
         assert sample.image_slots == [ImageSlot(1, 4, "im1")]
-        sample.validate()
+        check_batch([sample])
 
     def test_text_only_doc(self, tok):
         doc = InterleavedDocument("d", [TextSegment("xyz")])
@@ -85,7 +86,7 @@ class TestPackDocument:
             text = "".join(s.text for s in doc.segments if isinstance(s, TextSegment))
             samples = pack_document(doc, tok, 4, max_len=16)
             for s in samples:
-                s.validate()
+                check_batch([s])
                 assert all(slot.length == 4 for slot in s.image_slots)
             decoded = "".join(tok.decode(s.tokens[s.modality_mask == TEXT]) for s in samples)
             assert decoded == text
@@ -97,7 +98,7 @@ class TestPackDocument:
             ImageSegment("b"), TextSegment("y" * 10)])
         samples = pack_document(doc, tok, slot_length=6, max_len=12)
         for s in samples:
-            s.validate()
+            check_batch([s])
             assert all(slot.length == 6 for slot in s.image_slots)
 
     def test_slot_exceeding_max_len_errors(self, tok):
@@ -138,7 +139,7 @@ class TestPackSft:
         s = pack_sft(("img", "what? ", "y"), tok, 4)
         assert len(s.image_slots) == 1
         assert int(s.loss_mask.sum()) == 2
-        s.validate()
+        check_batch([s])
         assert s.image_slots[0].length == 4
 
     def test_loss_never_on_image_positions_fuzz(self, tok):
@@ -149,7 +150,7 @@ class TestPackSft:
             answer = "".join(chr(97 + c) for c in rng.integers(0, 26, size=rng.integers(1, 10)))
             s = pack_sft((f"i{trial}" if has_image else None, prompt, answer), tok, 4)
             assert not np.any((s.loss_mask == 1) & (s.modality_mask == IMAGE))
-            s.validate()
+            check_batch([s])
             assert all(slot.length == 4 for slot in s.image_slots)
 
     def test_empty_prompt_rejected(self, tok):
@@ -206,17 +207,14 @@ class TestShardIO:
             list(read_shard(path, tok.vocab_hash(), config_hash(16, 8, 2)))
 
     # a bad sample length, stage tag and slot are refused through `diag align`
-    # in test_cli.py
+    # in test_cli.py, and every malformed sample in test_sample_contract.py
     @pytest.mark.parametrize("corruption,message", [
         ("image id", "utf-8"),
         ("trailing bytes", "fields end at byte"),
-        ("loss value", "other than 0 and 1"),
     ])
     def test_corrupt_record_refused(self, tmp_path, tok, corruption, message):
         sample = pack_sft(("img", "what? ", "y"), tok, 4)
         L = len(sample)
-        if corruption == "loss value":
-            sample.loss_mask[-1] = 7
         path = tmp_path / "x.shard"
         write_shard([sample], path, tok.vocab_hash(), config_hash(16, 8, 1))
         data = bytearray(path.read_bytes())  # header 76 B, record length, record
