@@ -1,7 +1,7 @@
 """A training batch's two halves: the worker's against this process's, the
-halves against one pass, an all-masked batch, and the worker's lifecycle,
-run in subprocesses. The checks that run before either half are in
-test_sample_contract.py."""
+halves against one pass, an all-masked batch, the checks that run before
+either half, and the worker's lifecycle, run in subprocesses. The gate
+table of every malformed sample is in test_sample_contract.py."""
 
 import dataclasses
 import json
@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from vlmforge import halves
 from vlmforge import model as model_module
 from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
+from vlmforge.errors import ConfigMismatchError, VlmforgeError
 from vlmforge.model import (
     PARAM_GROUPS,
     Linear,
@@ -30,7 +31,7 @@ from vlmforge.model import (
     _halves,
     _linear_bwd,
 )
-from vlmforge.packing import bind_pixels, pack_document
+from vlmforge.packing import IMAGE, ImageSlot, PackedSample, bind_pixels, pack_document
 from vlmforge.trainer import ALL_TRAINABLE, PROJECTOR_ONLY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -164,6 +165,56 @@ class TestHalves:
         assert loss == 0.0 and all(not g.any() for g in grads.values())
         assert [r.message for r in caplog.records] == [
             "loss_and_grads: batch has no loss-masked positions"]
+        assert calls == [] and started == []
+
+    def test_malformed_batch_refused_before_either_half(self, tok, monkeypatch):
+        """Each bad sample, first or last in a batch, is refused with the
+        message a batch of it alone gets, before any block runs here or
+        the worker is sent anything."""
+        model = Model(cfg())
+        S = model.cfg.slot_length
+        good = [sample(tok, model.cfg, "a good one", ("img",)),
+                sample(tok, model.cfg, "another good one")]
+        pixels = bind_pixels(good, model.cfg.resolution)
+        imaged = good[0]
+        tokens = np.array([256, 65, 66, 67, 68], dtype=np.uint32)
+
+        def masks(*values):
+            return np.array(values, dtype=np.uint8)
+
+        long_loss = np.ones(97, np.uint8)
+        long_loss[0] = 0
+        replace = dataclasses.replace
+        cases = [
+            (PackedSample(tokens[:0], masks(), masks()), "empty sample"),
+            (PackedSample(tokens, masks(0, 0, 0, 0), masks(0, 1, 1, 1, 1)), "mask lengths"),
+            (PackedSample(tokens, masks(0, 3, 0, 0, 0), masks(0, 1, 1, 1, 1)),
+             "modality mask holds"),
+            (PackedSample(tokens, masks(0, 0, 0, 0, 0), masks(0, 2, 1, 1, 1)), "loss mask holds"),
+            (replace(imaged, loss_mask=(imaged.loss_mask | (imaged.modality_mask == IMAGE))
+                     .astype(np.uint8)), "loss mask must be 0 at IMAGE positions"),
+            (PackedSample(tokens, masks(0, 0, 0, 0, 0), masks(1, 1, 1, 1, 1)),
+             "loss mask must be 0 at position 0"),
+            (replace(imaged, image_slots=[]), "IMAGE positions are not exactly"),
+            (replace(imaged, image_slots=[ImageSlot(len(imaged) - 1, S, "img")]),
+             "out of bounds"),
+            (replace(imaged, image_slots=[ImageSlot(1, S, "unbound")]), "not bound to pixels"),
+            (PackedSample(np.array([256, 65, 999], dtype=np.uint32), masks(0, 0, 0),
+                          masks(0, 1, 1)), "vocabulary"),
+            (PackedSample(np.full(97, 65, dtype=np.uint32), np.zeros(97, np.uint8), long_loss),
+             "exceeds max_positions"),
+        ]
+        bad_grid = {**pixels, "img": np.zeros((8, 8, 3))}
+        calls, started = [], []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        monkeypatch.setattr(halves, "second_half", lambda *args: started.append(args))
+        for bad, message in cases:
+            for samples in ([bad], [bad] + good, good + [bad]):
+                with pytest.raises(VlmforgeError, match=message):
+                    model.loss_and_grads(samples, pixels)
+        for samples in (good[:1], good):
+            with pytest.raises(ConfigMismatchError, match="pixel grid"):
+                model.loss_and_grads(samples, bad_grid)
         assert calls == [] and started == []
 
 

@@ -34,8 +34,10 @@ from vlmforge.model import (
     _xent_,
 )
 from vlmforge.packing import (
+    IMAGE,
     TEXT,
     ByteTokenizer,
+    ImageSlot,
     PackedSample,
     bind_pixels,
     pack_document,
@@ -766,6 +768,74 @@ class TestBatchedPath:
         assert losses.shape == (len(batch),)
         for sample, got in zip(batch, losses):
             assert got == pytest.approx(model.sequence_loss(sample, pixels), rel=1e-12)
+
+    @pytest.mark.parametrize("entry", ["sequence_loss", "loss_and_grads"])
+    def test_empty_sample_rejected_before_any_block(self, tok, monkeypatch, entry):
+        """The entries that read a loss mask refuse an empty sample, masks
+        shorter than the tokens on either side, and a mask value other than
+        0 and 1 before any block runs; the gate table in
+        test_sample_contract.py holds these cases for every entry."""
+        model = Model(self.cfg(Linear()))
+        tokens = np.array([tok.bos, 1, 2, 3, 4], dtype=np.uint32)
+
+        def masks(n, *values):
+            return np.array(values or [0] * n, dtype=np.uint8)
+
+        doc = InterleavedDocument("d", [ImageSegment("img"), TextSegment("ABCD")])
+        [imaged] = pack_document(doc, tok, model.cfg.slot_length, model.cfg.max_positions)
+        pixels = bind_pixels([imaged], model.cfg.resolution)
+        image_loss = imaged.loss_mask | (imaged.modality_mask == IMAGE)
+        cases = [(PackedSample(tokens[:0], masks(0), masks(0)), "empty sample"),
+                 (PackedSample(tokens, masks(4), masks(5)), "mask lengths"),
+                 (PackedSample(tokens, masks(5), masks(3)), "mask lengths"),
+                 (PackedSample(tokens, masks(5, 0, 3, 0, 0, 0), masks(5, 0, 1, 1, 1, 1)),
+                  "modality mask holds"),
+                 (PackedSample(tokens, masks(5), masks(5, 0, 2, 1, 1, 1)), "loss mask holds"),
+                 (dataclasses.replace(imaged, loss_mask=image_loss.astype(np.uint8)),
+                  "loss mask must be 0 at IMAGE positions"),
+                 (PackedSample(tokens, masks(5), masks(5, 1, 1, 1, 1, 1)),
+                  "loss mask must be 0 at position 0")]
+        calls = []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        for sample, message in cases:
+            with pytest.raises(ConfigMismatchError, match=message):
+                getattr(model, entry)(sample, pixels)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", ["sequence_loss", "loss_and_grads"])
+    def test_image_slots_must_match_the_sample(self, tok, monkeypatch, entry):
+        """IMAGE positions are exactly the rows of the sample's own slots, each
+        covered once, in a batch of the default config: a slot past its
+        sample's end, first or last in the batch, a negative slot start,
+        overlapping slots and IMAGE rows with no slot are refused before
+        any block runs."""
+        model = Model(ModelConfig())
+        S = model.cfg.slot_length
+        tokens = np.array([tok.bos, *tok.encode("ABCDEFGH")], dtype=np.uint32)
+
+        def sample(n, image_rows, *slots):
+            modality = np.zeros(n, dtype=np.uint8)
+            modality[list(image_rows)] = IMAGE
+            loss = np.ones(n, dtype=np.uint8) - modality
+            loss[0] = 0
+            return PackedSample(tokens[:n], modality, loss,
+                                [ImageSlot(start, S, "img") for start in slots])
+
+        text = sample(5, [])
+        past_end = sample(5, [3, 4], 3)
+        cases = [([sample(5, [1])], "IMAGE positions"),
+                 ([past_end, text], "out of bounds"),
+                 ([text, past_end], "out of bounds"),
+                 ([sample(5, [0, 1, 2, 3], -1)], "out of bounds"),
+                 ([sample(9, range(1, 3 + S), 1, 3)], "IMAGE positions"),  # overlapping slots
+                 ([sample(9, range(1, 1 + S)), text], "IMAGE positions")]  # slot-less IMAGE rows
+        pixels = {"img": pixels_for("img", model.cfg.resolution)}
+        calls = []
+        monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
+        for batch, message in cases:
+            with pytest.raises(ConfigMismatchError, match=message):
+                getattr(model, entry)(batch, pixels)
+        assert calls == []
 
     def test_training_step_fuses_each_attention_block_once(self, tok, monkeypatch,
                                                            in_process_halves):
