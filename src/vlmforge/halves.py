@@ -14,11 +14,13 @@ interpreter that imports the model takes about 0.4 s, and the calls made
 while it starts compute both halves here. It is a plain `subprocess` child
 and starts no helper process of its own. It shares one anonymous memory file
 (`os.memfd_create`) with the caller, which leaves nothing on any file
-system. The file holds every parameter, which the caller copies in before
-each call, and then the trainable groups' gradients, which the worker
-writes. A config or policy that needs more room grows the file; neither
-side respawns. A pipe carries only the half's samples and pixels and a few
-scalars one way, and the half's cross-entropy sum the other.
+system. The file holds every group's parameters, which the caller copies
+in before each call, then every group's gradients, of which the worker
+zeroes and writes the trainable groups' only: each a buffer per group, laid
+out by the config alone, so a new freeze policy changes nothing there. A
+config that needs more room grows the file; neither side respawns. A pipe
+carries only the half's samples and pixels and a few scalars one way, and
+the half's cross-entropy sum the other.
 
 Between calls the worker sleeps in a blocking read. It exits when the pipe
 closes: at the caller's exit (`atexit`), or when the caller dies. If it
@@ -71,37 +73,23 @@ def _receive(fh) -> bytes | None:
     return payload if len(payload) == size else None
 
 
-def _layout(cfg, train) -> tuple[dict[str, int], dict[str, int], int, int]:
-    """Where the shared memory keeps what: every parameter group's buffer
-    back to back, then each trainable group's gradient buffer from a
-    _ALIGN-byte boundary on. Returns the element count of each parameter
-    group and of each gradient group, the gradients' byte offset and the
-    bytes in all."""
+def _map(cfg, memfd: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The shared memory's parameter and gradient buffers by group, laid
+    out by the config alone: every group's parameters back to back, as in
+    `Model.buffers`, then from an _ALIGN-byte boundary on every group's
+    gradients the same way. The file grows to hold them, and never shrinks."""
     from .model import Model  # the model module imports this one
 
-    sizes = Model._group_sizes(cfg)
-    trained = {group: n for group, n in sizes.items() if group in train}
-    itemsize = np.dtype(cfg.np_dtype).itemsize
-    offset = -(-sum(sizes.values()) * itemsize // _ALIGN) * _ALIGN
-    return sizes, trained, offset, offset + sum(trained.values()) * itemsize
-
-
-def _arrays(cfg, train, memory) -> tuple[dict[str, np.ndarray], np.ndarray,
-                                          dict[str, np.ndarray]]:
-    """The shared memory's arrays: each parameter group's buffer, the
-    gradient region, flat, and each trainable parameter's gradient by name,
-    laid out in its group as `Model.views` lays out a group."""
-    from .model import Model
-
-    sizes, trained, offset, _ = _layout(cfg, train)
-    dtype = np.dtype(cfg.np_dtype)
-
-    def buffers(counts, start):
-        flat = np.frombuffer(memory, dtype, sum(counts.values()), start)
-        return flat, dict(zip(counts, np.split(flat, np.cumsum(list(counts.values()))[:-1])))
-
-    region, grad_buffers = buffers(trained, offset)
-    return buffers(sizes, 0)[1], region, Model.views(cfg, grad_buffers)
+    sizes, dtype = Model._group_sizes(cfg), np.dtype(cfg.np_dtype)
+    offset = -(-sum(sizes.values()) * dtype.itemsize // _ALIGN) * _ALIGN
+    if 2 * offset > os.fstat(memfd).st_size:
+        os.ftruncate(memfd, 2 * offset)
+    memory, buffers = mmap.mmap(memfd, 2 * offset), ({}, {})
+    for start, part in zip((0, offset), buffers):
+        for group, size in sizes.items():
+            part[group] = np.frombuffer(memory, dtype, size, start)
+            start += size * dtype.itemsize
+    return buffers
 
 
 def _wire(a: np.ndarray) -> tuple:
@@ -143,9 +131,7 @@ class _Worker:
 
     def __init__(self):
         self.owner = os.getpid()
-        self.size = 0  # bytes of the memory file
-        self.memory = None
-        self.key = None  # (config, trainable groups) the arrays are laid out for
+        self.cfg = None  # the config the shared buffers are laid out for
         self.ready = False
         self.pending = False  # a request sent whose reply is not read yet
         package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -185,24 +171,18 @@ class _Worker:
         if self.pending:  # an interrupted call left its reply unread
             if _receive(self.replies) is None:
                 raise EOFError("the worker exited")
-        cfg, groups = model.cfg, tuple(sorted(train))
-        if (cfg, groups) != self.key:
-            nbytes = _layout(cfg, groups)[3]
-            if nbytes > self.size:
-                os.ftruncate(self.memfd, nbytes)
-                self.memory, self.size = mmap.mmap(self.memfd, nbytes), nbytes
-            params, _, self.grads = _arrays(cfg, groups, self.memory)
-            self.params = model.views(cfg, params)
-            self.key = (cfg, groups)
-        for name, view in self.params.items():
-            view[...] = model.params[name]
-        request = (self.size, cfg, groups, total, _pack(samples, pixels))
+        if model.cfg != self.cfg:
+            self.params, self.grads = _map(model.cfg, self.memfd)
+            self.cfg = model.cfg
+        for group, buf in self.params.items():
+            buf[...] = model.buffers[group]
+        request = (model.cfg, tuple(sorted(train)), total, _pack(samples, pixels))
         _send(self.requests, pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL))
         self.pending = True
 
     def result(self) -> tuple[float, dict[str, np.ndarray]]:
-        """The half's cross-entropy sum and its gradients, which are views
-        into the shared memory: read them before the next `submit`."""
+        """The half's cross-entropy sum and its gradient buffers by group, in
+        the shared memory: read the trainable groups' before the next `submit`."""
         reply = _receive(self.replies)
         self.pending = False
         if reply is None:
@@ -278,13 +258,13 @@ def second_half(model, samples, pixels, train, total: float):
     """Start the second half of a batch: `model._scored_grads` on `samples`.
 
     Yields a function that returns the half's cross-entropy sum and its
-    gradients by name, to be read before the next call. The half runs in
+    gradient buffers by group, to be read before the next call. The half runs in
     the worker if it is ready and free, and here, when the function is
     called, otherwise, or if the worker fails on the way."""
 
     def here():
-        grads = model._zero_grads(train)
-        return model._scored_grads(samples, pixels, train, total, grads), grads
+        buffers, grads = model._zero_grads(train)
+        return model._scored_grads(samples, pixels, train, total, grads), buffers
 
     if not _PROCESS.lock.acquire(blocking=False):
         yield here
@@ -317,25 +297,24 @@ def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
     # a terminal's interrupt reaches the whole process group; the caller
     # handles it, and the worker ends when the caller closes the pipe
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    requests, replies = open(requests_fd, "rb"), open(replies_fd, "wb")
-    _send(replies, _READY)
-    size, key = 0, None
-    while (message := _receive(requests)) is not None:
-        try:
-            nbytes, cfg, groups, total, packed = pickle.loads(message)
-            samples, pixels = _unpack(packed)
-            if nbytes != size:
-                memory, size, key = mmap.mmap(memfd, nbytes), nbytes, None
-            if (cfg, groups) != key:
-                params, region, grads = _arrays(cfg, groups, memory)
-                # the model reads its parameters in place, from the shared memory
-                model, key = Model(cfg), (cfg, groups)
-                model.buffers, model.params = params, Model.views(cfg, params)
-            region.fill(0)
-            outcome = model._scored_grads(samples, pixels, set(groups), total, grads)
-        except Exception:  # reported to the caller, which then computes the half itself
-            outcome = traceback.format_exc()
-        try:
+    # a reply that meets a broken pipe: the caller has ended, and so does the loop
+    with contextlib.suppress(BrokenPipeError), open(requests_fd, "rb") as requests, \
+            open(replies_fd, "wb") as replies:
+        _send(replies, _READY)
+        key = None
+        while (message := _receive(requests)) is not None:
+            try:
+                cfg, groups, total, packed = pickle.loads(message)
+                samples, pixels = _unpack(packed)
+                if cfg != key:
+                    params, buffers = _map(cfg, memfd)
+                    # the model reads its parameters in place, from the shared memory
+                    model = Model(cfg)
+                    model.buffers, model.params = params, Model.views(cfg, params)
+                    grads, key = Model.views(cfg, buffers), cfg
+                for group in groups:  # a frozen group's pages stay untouched
+                    buffers[group].fill(0)
+                outcome = model._scored_grads(samples, pixels, set(groups), total, grads)
+            except Exception:  # reported to the caller, which then computes the half itself
+                outcome = traceback.format_exc()
             _send(replies, pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
-        except BrokenPipeError:  # the caller has ended
-            return

@@ -80,11 +80,13 @@ the worker, re-checks its slice; `extend` checks only its new ids.
 
 Parameters live in one contiguous buffer per group: the name's first
 component (vision / projector / embed / llm / head) is the group, the
-freezing unit. The config fixes every name and shape, and `Model.views`
+freezing unit. `Model._layout`, built from `param_shapes` once per config,
 lays a group's parameters back to back in `Model.buffers[group]`, names
-sorted; `Model.params` holds those views, so an optimizer can update a whole
-group as one array. A v2 checkpoint is the config JSON and those buffers at
-the config's dtype: exact, with no per-parameter records.
+sorted; `Model.params` holds the views it gives, so an optimizer updates a
+whole group as one array. A training step's gradients take the same layout,
+one zeroed buffer per trainable group, and are added and shared as whole
+buffers. A v2 checkpoint is the config JSON and the parameter buffers at the
+config's dtype: exact, with no per-parameter records.
 
 Importing this module keeps freed memory in the process heap. A training
 step builds a few MB of activations and frees them at its end. By default
@@ -838,22 +840,31 @@ class Model:
         return shapes
 
     @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def _layout(cfg: ModelConfig) -> types.MappingProxyType:
+        """Each group -> its size and its parameters' (name, offset, shape)
+        in its flat buffer, names sorted: the one place that computes an
+        offset. Kept for the last 16 configs, and read-only, since every
+        caller of a config shares it."""
+        table: dict[str, tuple[int, tuple]] = {}
+        for name, shape in Model.param_shapes(cfg).items():
+            group = Model.group_of(name)
+            size, entries = table.get(group, (0, ()))
+            table[group] = size + math.prod(shape), entries + ((name, size, shape),)
+        return types.MappingProxyType(table)
+
+    @staticmethod
     def _group_sizes(cfg: ModelConfig) -> dict[str, int]:
         """Each group's element count, groups sorted."""
-        by_group = itertools.groupby(Model.param_shapes(cfg).items(), lambda i: Model.group_of(i[0]))
-        return {group: sum(math.prod(shape) for _, shape in items) for group, items in by_group}
+        return {group: size for group, (size, _) in Model._layout(cfg).items()}
 
     @staticmethod
     def views(cfg: ModelConfig, buffers: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Each parameter of the groups in `buffers` (group -> flat buffer) ->
-        its slot there: a group's parameters lie back to back, names sorted.
-        The one place that computes a parameter's offset."""
-        views, offsets = {}, dict.fromkeys(buffers, 0)
-        for name, shape in Model.param_shapes(cfg).items():
-            if (group := Model.group_of(name)) in buffers:
-                start, offsets[group] = offsets[group], offsets[group] + math.prod(shape)
-                views[name] = buffers[group][start : offsets[group]].reshape(shape)
-        return views
+        its slot there, as `_layout` places it."""
+        return {name: buffers[group][start : start + math.prod(shape)].reshape(shape)
+                for group, (_, entries) in Model._layout(cfg).items() if group in buffers
+                for name, start, shape in entries}
 
     def _init_params(self) -> None:
         """The seeded init, drawn in name order straight into the buffers."""
@@ -1150,24 +1161,25 @@ class Model:
 
         The mean is over all masked target positions across the batch.
         Gradients cover every parameter group, frozen or not, when
-        `trainable` is None; otherwise only the named groups get gradient
-        arrays, and backward skips every weight gradient and every layer
-        below that none of them needs. Every check runs on the whole batch
-        first; an all-masked batch is then flagged and yields exactly zero
-        loss and gradients, with no pass run.
+        `trainable` is None; otherwise only the named groups get gradients,
+        and backward skips every weight gradient and every layer below that
+        none of them needs; each group's are views into a fresh buffer
+        (`views`). Every check runs on the whole batch first; an all-masked
+        batch is then flagged and yields exactly zero loss and gradients,
+        with no pass run.
 
         A batch of one sample runs as one pass. A larger batch is two fixed
         halves (`_halves`), each a pass of its own whose cross-entropy sum and
         gradients are taken over the whole batch's scored weight `total`,
         and they add up: loss = (first sum + second sum) / total, grads =
-        first + second. The second half runs in this process's
-        worker where there is one (`halves`), and here otherwise, through
-        the same `_scored_grads`, so the bits do not depend on the host.
+        first + second, added group by group. The second half runs in this
+        process's worker where there is one (`halves`), and here otherwise,
+        through the same `_scored_grads`, so the bits do not depend on the host.
         """
         samples = [samples] if isinstance(samples, PackedSample) else list(samples)
         self._check(samples, pixels)
         train = set(PARAM_GROUPS if trainable is None else trainable)
-        grads = self._zero_grads(train)
+        buffers, grads = self._zero_grads(train)
         total = float(sum(np.count_nonzero(s.loss_mask) for s in samples))
         if total == 0.0:
             logger.warning("loss_and_grads: batch has no loss-masked positions")
@@ -1177,16 +1189,17 @@ class Model:
         first, second = ([samples[i] for i in half] for half in _halves([len(s) for s in samples]))
         with halves.second_half(self, second, pixels, train, total) as second_half:
             ce = self._scored_grads(first, pixels, train, total, grads)
-            other_ce, other_grads = second_half()
-            for name, g in grads.items():
-                g += other_grads[name]
+            other_ce, other_buffers = second_half()
+            for group, buf in buffers.items():
+                buf += other_buffers[group]
         return (ce + other_ce) / total, grads
 
-    def _zero_grads(self, train) -> dict[str, np.ndarray]:
-        """Zeroed gradient arrays for the parameters of the groups in `train`."""
-        # np.zeros, not zeros_like: the same zeros without its dispatch overhead
-        return {name: np.zeros(arr.shape, arr.dtype) for name, arr in self.params.items()
-                if self.group_of(name) in train}
+    def _zero_grads(self, train) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """A zeroed gradient buffer for each group in `train`, and each of
+        their parameters' gradient as a view into it."""
+        buffers = {group: np.zeros(size, self.cfg.np_dtype)
+                   for group, size in self._group_sizes(self.cfg).items() if group in train}
+        return buffers, self.views(self.cfg, buffers)
 
     def _scored_grads(self, samples, pixels, train, total: float, grads) -> float:
         """One training pass over `samples`: returns the sum of its scored

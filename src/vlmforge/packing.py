@@ -84,6 +84,7 @@ class PackedSample:
 def check_batch(samples) -> None:
     """Refuse a batch unless every sample keeps the sample contract, which
     shards and the model share:
+    - at least one sample in the batch;
     - at least one position, and masks as long as the tokens, of 0 and 1;
     - image slots within the sample, whose positions are exactly the IMAGE
       positions, each in one slot;
@@ -95,6 +96,8 @@ def check_batch(samples) -> None:
     message, which names no place in the batch. A model's own limits
     (slot length, max_positions, vocabulary, pixels) are its to check."""
     lengths = [len(s) for s in samples]
+    if not lengths:
+        raise ConfigMismatchError("empty batch: no sample to decode")
     if not all(lengths):
         raise ConfigMismatchError("empty sample: no position to decode")
     for s in samples:
@@ -273,6 +276,9 @@ def _encode_record(sample: PackedSample) -> bytes:
     buf.write(struct.pack("<I", len(sample.image_slots)))
     for slot in sample.image_slots:
         raw = slot.image_id.encode("utf-8")
+        if len(raw) > 0xFFFF:  # the slot header stores the id's length in 16 bits
+            raise ShardFormatError(f"image id of {len(raw)} bytes: a shard holds ids of at "
+                                   f"most 65,535 bytes")
         buf.write(struct.pack("<IIH", slot.start, slot.length, len(raw)))
         buf.write(raw)
     return buf.getvalue()

@@ -761,6 +761,23 @@ class TestOutputsReplacedAtomically:
         assert shard.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_overlong_image_id_exits_2_and_keeps_previous_shard(self, corpora, tmp_path,
+                                                                 capsys):
+        """A shard stores an image id's length in 16 bits: a longer id is
+        refused as a data error, and the shard already there stays."""
+        shard = TestShards.pack(corpora, tmp_path)
+        before = shard.read_bytes()
+        doc = {"doc_id": "long", "segments": [{"type": "image", "image_id": "x" * 70_000},
+                                              {"type": "text", "text": "a cat"}]}
+        bad = tmp_path / "long.jsonl"
+        bad.write_text(corpora["interleaved"].read_text() + json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert main(["pack", "run", str(bad), str(shard)]) == 2
+        err = capsys.readouterr().err
+        assert "image id of 70000 bytes" in err and "65,535" in err and "Traceback" not in err
+        assert shard.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_diag_eval_and_compare_loss(self, corpora, tmp_path, monkeypatch):
         ckpt = tmp_path / "m.ckpt"
         Model(ModelConfig()).save_checkpoint(ckpt)

@@ -3,6 +3,7 @@ halves against one pass, an all-masked batch, the checks that run before
 either half, and the worker's lifecycle, run in subprocesses. The gate
 table of every malformed sample is in test_sample_contract.py."""
 
+import atexit
 import dataclasses
 import json
 import logging
@@ -36,6 +37,23 @@ from vlmforge.trainer import ALL_TRAINABLE, PROJECTOR_ONLY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TIMEOUT_S = 300
+# imported by a worker before it serves: it fails the half it is given if
+# it builds a second Model for one config
+BUILT_ONCE = """
+from vlmforge.model import Model
+
+built, init = [], Model.__init__
+
+
+def once_per_config(self, cfg, *args):
+    if cfg in built:
+        raise AssertionError("the worker built a second Model for one config")
+    built.append(cfg)
+    init(self, cfg, *args)
+
+
+Model.__init__ = once_per_config
+"""
 
 
 def cfg(dtype="float64", projector=TransformerBlockProjector(2)):
@@ -109,25 +127,69 @@ class TestHalves:
         assert _halves(lengths) == (first, second)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_worker_equals_in_process_halves(self, tok, monkeypatch, dtype):
-        """Every loss and gradient bit, under each freeze policy; a new
-        config or policy lays the worker's memory out anew, and no new
-        worker starts."""
+    def test_worker_equals_in_process_halves(self, tok, monkeypatch, tmp_path, dtype):
+        """Every loss and gradient bit, over the stages' freeze policies in
+        turn: init-projector, pretrain, projector-only, every group. The
+        worker's memory is laid out by the config alone, so neither a new
+        policy nor a smaller config grows its file, the worker builds one
+        model per config, and no new worker starts."""
+        (tmp_path / "built_once.py").write_text(BUILT_ONCE)
+        popen = subprocess.Popen
+
+        def built_once(args, **kwargs):
+            first = f"sys.path.insert(0, {str(tmp_path)!r}); import built_once; "
+            boot = args[-1].replace("from vlmforge.halves", first + "from vlmforge.halves")
+            return popen([*args[:-1], boot], **kwargs)
+
+        monkeypatch.setattr(halves, "_PROCESS", halves._ProcessWorker())
+        monkeypatch.setattr(halves.subprocess, "Popen", built_once)
         served, result = [], halves._Worker.result
         monkeypatch.setattr(halves._Worker, "result",
                             lambda self: (served.append(1), result(self))[1])
-        pid = ready_worker().proc.pid
-        for variant in (TransformerBlockProjector(2), Linear()):
-            model = Model(cfg(dtype, variant))
-            for seed in range(3):
-                samples, pixels = batch(tok, model.cfg, seed)
-                for trainable in (None, ALL_TRAINABLE.trainable, PROJECTOR_ONLY.trainable):
-                    before = len(served)
-                    got = model.loss_and_grads(samples, pixels, trainable)
-                    assert len(served) == before + 1
-                    assert_bitwise_equal(got, in_process(monkeypatch, model, samples,
-                                                         pixels, trainable))
-        assert ready_worker().proc.pid == pid
+        worker = ready_worker()
+        sizes = []
+        try:
+            for variant in (TransformerBlockProjector(2), Linear()):  # the larger config first
+                model = Model(cfg(dtype, variant))
+                for seed in range(3):
+                    samples, pixels = batch(tok, model.cfg, seed)
+                    for trainable in (PROJECTOR_ONLY.trainable, ALL_TRAINABLE.trainable,
+                                      PROJECTOR_ONLY.trainable, None):
+                        before = len(served)
+                        got = model.loss_and_grads(samples, pixels, trainable)
+                        assert len(served) == before + 1
+                        sizes.append(os.fstat(worker.memfd).st_size)
+                        assert_bitwise_equal(got, in_process(monkeypatch, model, samples,
+                                                             pixels, trainable))
+            assert not halves._PROCESS.failed and ready_worker() is worker
+        finally:
+            if halves._PROCESS.worker is worker:  # not failed, so not closed yet
+                atexit.unregister(worker.close)
+                worker.close()
+        assert sizes == sizes[:1] * len(sizes)
+
+    @pytest.mark.parametrize("trainable", [None, ALL_TRAINABLE.trainable,
+                                           PROJECTOR_ONLY.trainable])
+    def test_gradients_are_one_buffer_per_trained_group(self, tok, trainable):
+        """A call's gradients are views into one fresh buffer per trainable
+        group, laid out as `Model.views` lays out the group's parameters;
+        a frozen group gets none."""
+        model = Model(cfg())
+        samples, pixels = batch(tok, model.cfg)
+        calls = [model.loss_and_grads(samples, pixels, trainable)[1] for _ in range(2)]
+        buffers = [{model.group_of(n): g.base for n, g in grads.items()} for grads in calls]
+        for grads, bufs in zip(calls, buffers):
+            assert bufs.keys() == set(PARAM_GROUPS if trainable is None else trainable)
+            for group, buf in bufs.items():
+                assert buf.shape == model.buffers[group].shape
+                assert buf.dtype == model.buffers[group].dtype
+            views = Model.views(model.cfg, bufs)
+            assert views.keys() == grads.keys()
+            for name, view in views.items():
+                assert grads[name].base is bufs[model.group_of(name)], name
+                assert grads[name].shape == view.shape, name
+                assert grads[name].ctypes.data == view.ctypes.data, name
+        assert not any(np.shares_memory(buffers[0][g], buffers[1][g]) for g in buffers[0])
 
     def test_halves_equal_one_pass_to_1e12(self, tok):
         model = Model(cfg())
@@ -258,11 +320,14 @@ def test_threads_share_the_worker_one_call_at_a_time(tok, monkeypatch):
 
 
 def run_python(code, tmp_path, env=None, expect_rc=0) -> dict:
-    """Run `code` in a fresh interpreter; returns the JSON object it prints last."""
-    env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
+    """Run `code` in a fresh interpreter in development mode, which the
+    worker inherits; returns the JSON object it prints last. Neither
+    process may leave a file unclosed."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDEVMODE": "1", **(env or {})}
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=TIMEOUT_S)
     assert done.returncode == expect_rc, done.stderr
+    assert "ResourceWarning" not in done.stderr, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 

@@ -135,7 +135,7 @@ def test_malformed_sample_refused(entry, tmp_path, monkeypatch):
     read_shard, as a record a raw writer put after a good one, with that
     record's byte offset, and by every model entry, alone and first or last
     in a batch, before any block runs and before the worker is sent
-    anything."""
+    anything. Every entry that takes a list refuses an empty one."""
     model = Model(CFG)
     good = [sample("a good one", ["img"]), sample("another good one")]
     pixels = bind_pixels(good, CFG.resolution)
@@ -160,6 +160,9 @@ def test_malformed_sample_refused(entry, tmp_path, monkeypatch):
                 call(model, entry, batch, pixels)
             assert words in str(got.value), case
             assert want is None or str(got.value) == want, case
+    if entry in BATCHED:  # a batch needs a sample, as a sample needs a position
+        with pytest.raises(ConfigMismatchError, match="^empty batch: no sample to decode$"):
+            call(model, entry, [], pixels)
     if entry != "read_shard":
         bad_grid = {**pixels, "img": np.zeros((8, 8, 3))}
         for batch in (good[:1], good) if entry in BATCHED else (good[:1],):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vlmforge import halves
 from vlmforge.corpus import BlendSampler
 from vlmforge.errors import NumericError, VlmforgeError
 from vlmforge.fixtures import FixtureSpec, make_interleaved, make_pairs
@@ -151,6 +152,24 @@ class TestAdamW:
             for name, view in Model.views(model.cfg, moments).items():
                 assert view.shape == model.params[name].shape
                 assert np.shares_memory(view, moments[Model.group_of(name)]), name
+
+    def test_layout_computed_once_per_config(self, tmp_path, monkeypatch):
+        """Models, an optimizer, a checkpoint and the worker's shared memory
+        of one config read one read-only table, built from `param_shapes`
+        once."""
+        cfg, shapes, calls = small_cfg(), Model.param_shapes, []
+        monkeypatch.setattr(Model, "param_shapes",
+                            staticmethod(lambda c: (calls.append(c), shapes(c))[1]))
+        Model._layout.cache_clear()
+        model = Model(cfg)
+        Model(cfg).save_checkpoint(tmp_path / "m.ckpt")
+        AdamW(model, ALL_TRAINABLE, 1e-3)
+        Model.load_checkpoint(tmp_path / "m.ckpt", cfg)
+        with open(tmp_path / "shared", "w+b") as fh:  # the worker's memory file
+            halves._map(cfg, fh.fileno())
+        assert calls == [cfg]
+        with pytest.raises(TypeError):
+            Model._layout(cfg)["head"] = (0, ())
 
     def test_replaced_trainable_parameter_rejected(self):
         model = Model(small_cfg())
