@@ -146,10 +146,13 @@ def _document_from_json(obj: dict) -> InterleavedDocument:
     segs = obj.get("segments")
     if not isinstance(segs, list):
         raise CorpusFormatError("record is missing list 'segments'")
+    meta = {} if obj.get("meta") is None else obj["meta"]
+    if not isinstance(meta, dict):
+        raise CorpusFormatError(f"'meta' must be a JSON object, not {meta!r}")
     doc = InterleavedDocument(
         doc_id=obj["doc_id"],
         segments=[_segment_from_json(s) for s in segs],
-        meta=obj.get("meta", {}) or {},
+        meta=meta,
     )
     doc.validate()
     return doc

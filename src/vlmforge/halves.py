@@ -19,8 +19,8 @@ in before each call, then every group's gradients, of which the worker
 zeroes and writes the trainable groups' only: each a buffer per group, laid
 out by the config alone, so a new freeze policy changes nothing there. A
 config that needs more room grows the file; neither side respawns. A pipe
-carries only the half's samples and pixels and a few scalars one way, and
-the half's cross-entropy sum the other.
+carries only the half's shard records (`packing.encode_record`) and pixels
+and a few scalars one way, and the half's cross-entropy sum the other.
 
 Between calls the worker sleeps in a blocking read. It exits when the pipe
 closes: at the caller's exit (`atexit`), or when the caller dies. If it
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import itertools
 import logging
 import mmap
 import os
@@ -48,7 +47,7 @@ import traceback
 
 import numpy as np
 
-from .packing import ImageSlot, PackedSample
+from .packing import decode_record, encode_record
 
 logger = logging.getLogger(__name__)
 
@@ -99,30 +98,6 @@ def _wire(a: np.ndarray) -> tuple:
 def _unwire(wired: tuple) -> np.ndarray:
     data, dtype, shape = wired
     return np.frombuffer(data, dtype).reshape(shape)
-
-
-def _pack(samples, pixels) -> tuple:
-    """A half's samples, and the pixels of their images, as the bytes of a
-    few flat arrays: a PackedSample or an array takes several microseconds
-    to pickle and more to unpickle, and bytes well under one."""
-    ids = list(dict.fromkeys(slot.image_id for s in samples for slot in s.image_slots))
-    stack = np.stack([pixels[i] for i in ids]) if ids else np.empty(0)
-    flats = [_wire(np.concatenate([getattr(s, name) for s in samples]))
-             for name in ("tokens", "modality_mask", "loss_mask")]
-    slots = [[(slot.start, slot.length, slot.image_id) for slot in s.image_slots]
-             for s in samples]
-    return [len(s) for s in samples], flats, slots, ids, _wire(stack)
-
-
-def _unpack(packed) -> tuple[list[PackedSample], dict[str, np.ndarray]]:
-    """`_pack`'s samples and pixels, as read-only views of its bytes."""
-    lengths, flats, slots, ids, stack = packed
-    tokens, modality, loss = map(_unwire, flats)
-    ends = list(itertools.accumulate(lengths))
-    samples = [PackedSample(tokens[a:b], modality[a:b], loss[a:b],
-                            [ImageSlot(*slot) for slot in sample_slots])
-               for a, b, sample_slots in zip([0] + ends, ends, slots)]
-    return samples, dict(zip(ids, _unwire(stack)))
 
 
 class _Worker:
@@ -176,7 +151,11 @@ class _Worker:
             self.cfg = model.cfg
         for group, buf in self.params.items():
             buf[...] = model.buffers[group]
-        request = (model.cfg, tuple(sorted(train)), total, _pack(samples, pixels))
+        # the pixels as one stack's bytes, which pickle faster than arrays
+        ids = list(dict.fromkeys(slot.image_id for s in samples for slot in s.image_slots))
+        stack = np.stack([pixels[i] for i in ids]) if ids else np.empty(0)
+        request = (model.cfg, tuple(sorted(train)), total, [encode_record(s) for s in samples],
+                   ids, _wire(stack))
         _send(self.requests, pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL))
         self.pending = True
 
@@ -304,8 +283,9 @@ def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
         key = None
         while (message := _receive(requests)) is not None:
             try:
-                cfg, groups, total, packed = pickle.loads(message)
-                samples, pixels = _unpack(packed)
+                cfg, groups, total, records, ids, stack = pickle.loads(message)
+                samples = [decode_record(record) for record in records]
+                pixels = dict(zip(ids, _unwire(stack)))
                 if cfg != key:
                     params, buffers = _map(cfg, memfd)
                     # the model reads its parameters in place, from the shared memory

@@ -779,8 +779,12 @@ class Model:
         """`params` (default: the seeded init), exactly the config's names and
         shapes, is copied into the group buffers; `params` then holds views."""
         self.cfg = cfg
-        self.buffers = {group: np.empty(size, dtype=cfg.np_dtype)
-                        for group, size in self._group_sizes(cfg).items()}
+        sizes = self._group_sizes(cfg)
+        try:
+            self.buffers = {group: np.empty(size, cfg.np_dtype) for group, size in sizes.items()}
+        except (MemoryError, ValueError) as exc:  # no room, or past numpy's largest array
+            raise ConfigMismatchError(f"the config's {sum(sizes.values()):,} parameters cannot "
+                                      f"be allocated: {exc}") from None
         self.params = self.views(cfg, self.buffers)
         if params is None:
             self._init_params()

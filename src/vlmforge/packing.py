@@ -1,4 +1,4 @@
-"""Token packing: the one owner of the packed-sample layout.
+"""Token packing: the one owner of the packed-sample layout and its bytes.
 
 The tokenizer is byte-level (256 byte ids + BOS/EOS/IMG/PAD), so encode/decode
 round-trips any UTF-8 string exactly. Images enter packed sequences as runs of
@@ -12,16 +12,21 @@ documents (`pack_document`), the answer for SFT demos (`pack_sft`), none for
 in-context prompts (`pack_context`). Candidate ranking and greedy
 generation build no sample beyond the context: the model continues the
 context itself, every candidate in the context's own decoder pass and each
-generated token from a KV cache. Shards store the same layout and are
-written atomically. `check_batch` states once what makes a sample well
-formed; `read_shard` checks each record with it, and the model each batch,
-once per call.
+generated token from a KV cache.
+
+`encode_record` and `decode_record` are the one definition of a sample's
+bytes: a shard stores its samples as these records, written atomically, and
+the training worker receives its half of a batch as them. `check_batch`
+states once what makes a sample well formed, the record's limits included
+(an image id of at most 65,535 UTF-8 bytes, a known stage tag), so every
+sample it accepts has a record. `write_shard` checks each sample with it
+before it encodes it, `read_shard` each record it decodes, and the model
+each batch, once per call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -37,6 +42,10 @@ IMAGE = 1
 
 SHARD_MAGIC = b"VLMSHARD"
 SHARD_VERSION = 1
+# a record stores its stage tag in one byte and an image id's length in 16 bits
+_STAGE_TAGS = {"pretrain": 0, "sft": 1}
+_STAGE_NAMES = {v: k for k, v in _STAGE_TAGS.items()}
+_MAX_ID_BYTES = 0xFFFF
 
 
 class ByteTokenizer:
@@ -85,8 +94,10 @@ def check_batch(samples) -> None:
     """Refuse a batch unless every sample keeps the sample contract, which
     shards and the model share:
     - at least one sample in the batch;
-    - at least one position, and masks as long as the tokens, of 0 and 1;
-    - image slots within the sample, whose positions are exactly the IMAGE
+    - at least one position, and a stage tag a record stores;
+    - masks as long as the tokens, of 0 and 1;
+    - image slots within the sample, with image ids a record stores (UTF-8
+      text of at most 65,535 bytes), whose positions are exactly the IMAGE
       positions, each in one slot;
     - no loss bit at an IMAGE position, whose token stands in for the
       image, nor at the first position, which no position predicts.
@@ -100,6 +111,10 @@ def check_batch(samples) -> None:
         raise ConfigMismatchError("empty batch: no sample to decode")
     if not all(lengths):
         raise ConfigMismatchError("empty sample: no position to decode")
+    unknown = {s.stage_tag for s in samples} - _STAGE_TAGS.keys()
+    if unknown:
+        raise ConfigMismatchError(f"unknown stage tag {min(map(repr, unknown))}: a record "
+                                  f"stores {' or '.join(map(repr, _STAGE_TAGS))}")
     for s in samples:
         if not len(s.modality_mask) == len(s.loss_mask) == len(s):
             raise ConfigMismatchError(
@@ -120,6 +135,13 @@ def check_batch(samples) -> None:
             if slot.start < 0 or slot.length < 0 or slot.start + slot.length > L:
                 raise ConfigMismatchError(f"image slot {slot.image_id!r} at {slot.start} is out "
                                           f"of bounds of the sample's {L} positions")
+            try:
+                id_bytes = len(slot.image_id.encode("utf-8"))
+            except UnicodeEncodeError:  # a lone surrogate, as a JSON escape can give
+                raise ConfigMismatchError(f"image id {slot.image_id!r} is not UTF-8 text") from None
+            if id_bytes > _MAX_ID_BYTES:
+                raise ConfigMismatchError(f"image id of {id_bytes} bytes: a shard holds ids of "
+                                          f"at most {_MAX_ID_BYTES:,} bytes")
             heads.append(first + slot.start - covered)
             sizes.append(slot.length)
             covered += slot.length
@@ -262,43 +284,28 @@ def config_hash(resolution: int, patch: int, downsample: int) -> bytes:
     return hashlib.sha256(payload.encode()).digest()
 
 
-_STAGE_TAGS = {"pretrain": 0, "sft": 1}
-_STAGE_NAMES = {v: k for k, v in _STAGE_TAGS.items()}
-
-
-def _encode_record(sample: PackedSample) -> bytes:
-    buf = io.BytesIO()
-    L = len(sample)
-    buf.write(struct.pack("<IB", L, _STAGE_TAGS[sample.stage_tag]))
-    buf.write(sample.tokens.astype("<u4").tobytes())
-    buf.write(sample.modality_mask.astype("u1").tobytes())
-    buf.write(sample.loss_mask.astype("u1").tobytes())
-    buf.write(struct.pack("<I", len(sample.image_slots)))
+def encode_record(sample: PackedSample) -> bytes:
+    """A sample's bytes, for a shard or the training worker; the sample is
+    one `check_batch` accepts, and every such sample has a record."""
+    parts = [struct.pack("<IB", len(sample), _STAGE_TAGS[sample.stage_tag]),
+             sample.tokens.astype("<u4").tobytes(), sample.modality_mask.astype("u1").tobytes(),
+             sample.loss_mask.astype("u1").tobytes(), struct.pack("<I", len(sample.image_slots))]
     for slot in sample.image_slots:
         raw = slot.image_id.encode("utf-8")
-        if len(raw) > 0xFFFF:  # the slot header stores the id's length in 16 bits
-            raise ShardFormatError(f"image id of {len(raw)} bytes: a shard holds ids of at "
-                                   f"most 65,535 bytes")
-        buf.write(struct.pack("<IIH", slot.start, slot.length, len(raw)))
-        buf.write(raw)
-    return buf.getvalue()
+        parts += [struct.pack("<IIH", slot.start, slot.length, len(raw)), raw]
+    return b"".join(parts)
 
 
-def _decode_record(payload: bytes) -> PackedSample:
+def decode_record(payload: bytes) -> PackedSample:
     """A record's sample; struct.error or ValueError if the bytes do not hold one."""
     view = memoryview(payload)
     L, tag = struct.unpack_from("<IB", view, 0)
     if tag not in _STAGE_NAMES:
         raise ValueError(f"unknown stage tag {tag}")
-    off = 5
-    tokens = np.frombuffer(view, dtype="<u4", count=L, offset=off).copy()
-    off += 4 * L
-    modality = np.frombuffer(view, dtype="u1", count=L, offset=off).copy()
-    off += L
-    loss = np.frombuffer(view, dtype="u1", count=L, offset=off).copy()
-    off += L
-    (n_slots,) = struct.unpack_from("<I", view, off)
-    off += 4
+    tokens = np.frombuffer(view, "<u4", L, 5).copy()
+    modality, loss = np.frombuffer(view, "u1", 2 * L, 5 + 4 * L).reshape(2, L).copy()
+    (n_slots,) = struct.unpack_from("<I", view, 5 + 6 * L)
+    off = 9 + 6 * L
     slots = []
     for _ in range(n_slots):
         start, length, id_len = struct.unpack_from("<IIH", view, off)
@@ -313,8 +320,9 @@ def _decode_record(payload: bytes) -> PackedSample:
 
 def write_shard(samples, path, vocab_hash: bytes, cfg_hash: bytes) -> int:
     """Write samples as a length-prefixed binary shard; returns record count.
-    The shard replaces `path` only once every sample is written, so a stream
-    that fails partway leaves whatever was there before."""
+    A sample `check_batch` refuses is refused as `read_shard` refuses its
+    record. The shard replaces `path` only once every sample is written, so
+    a stream that fails partway leaves whatever was there before."""
     count = 0
     with atomic_open(path, "wb") as fh:
         fh.write(SHARD_MAGIC)
@@ -322,7 +330,11 @@ def write_shard(samples, path, vocab_hash: bytes, cfg_hash: bytes) -> int:
         fh.write(vocab_hash)
         fh.write(cfg_hash)
         for sample in samples:
-            record = _encode_record(sample)
+            try:
+                check_batch([sample])
+            except ConfigMismatchError as exc:
+                raise ShardFormatError(f"{path}: bad record at byte {fh.tell()}: {exc}") from None
+            record = encode_record(sample)
             fh.write(struct.pack("<I", len(record)))
             fh.write(record)
             count += 1
@@ -356,7 +368,7 @@ def read_shard(path, vocab_hash: bytes, cfg_hash: bytes):
             if len(payload) < length:
                 raise ShardFormatError(f"{path}: truncated record at byte {offset}")
             try:
-                sample = _decode_record(payload)
+                sample = decode_record(payload)
                 check_batch([sample])
             except (struct.error, ValueError, ConfigMismatchError) as exc:
                 raise ShardFormatError(f"{path}: bad record at byte {offset}: {exc}") from None

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import time
 
 import numpy as np
@@ -9,7 +10,14 @@ from vlmforge import halves
 from vlmforge.corpus import ImageSegment, InterleavedDocument, TextSegment
 from vlmforge.evaluation import EvalItem, EvalTask
 from vlmforge.model import Model, ModelConfig, TransformerBlockProjector
-from vlmforge.packing import TEXT, ByteTokenizer, PackedSample
+from vlmforge.packing import (
+    SHARD_MAGIC,
+    SHARD_VERSION,
+    TEXT,
+    ByteTokenizer,
+    PackedSample,
+    encode_record,
+)
 
 
 @pytest.fixture
@@ -49,6 +57,20 @@ def ready_worker(timeout_s: float = 60.0) -> halves._Worker:
         assert time.monotonic() < deadline, "the training worker did not start"
         time.sleep(0.05)
     return worker
+
+
+def write_raw_shard(path, samples, vocab_hash: bytes, cfg_hash: bytes) -> list[int]:
+    """A shard of `samples` as `encode_record` lays them out, none checked,
+    so that a sample `write_shard` refuses can reach `read_shard`; returns
+    each record's byte offset."""
+    offsets, data = [], bytearray(SHARD_MAGIC + struct.pack("<I", SHARD_VERSION) + vocab_hash
+                                  + cfg_hash)
+    for sample in samples:
+        record = encode_record(sample)
+        offsets.append(len(data))
+        data += struct.pack("<I", len(record)) + record
+    path.write_bytes(bytes(data))
+    return offsets
 
 
 def appended(prefix: PackedSample, ids, loss: bool = False) -> PackedSample:

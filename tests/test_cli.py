@@ -8,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import save_task
+from conftest import save_task, write_raw_shard
 
 from vlmforge import trainer
 from vlmforge.cli import build_parser, main
 from vlmforge.fixtures import FixtureSpec, fixture_gen
 from vlmforge.model import Downsample, Model, ModelConfig, TransformerBlockProjector
-from vlmforge.packing import ByteTokenizer, PackedSample, config_hash, pack_sft, write_shard
+from vlmforge.packing import ByteTokenizer, PackedSample, config_hash, pack_sft
 from vlmforge.trainer import LogRecord, RunLog
 
 
@@ -144,6 +144,26 @@ class TestCorpusCommands:
         first = json.loads(out.read_text().splitlines()[0])
         kinds = ["image" if "image_id" in s else "text" for s in first["segments"]]
         assert kinds == sorted(kinds, key=lambda k: k != "image")
+
+    def test_reformat_refuses_meta_that_is_not_an_object(self, tmp_path, capsys, caplog):
+        """A document's meta is a JSON object or null: any other is skipped
+        with its line number, and under --strict exits 2."""
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(json.dumps({"doc_id": doc_id, "segments": [{"text": "x"}],
+                                            "meta": meta}) + "\n"
+                                for doc_id, meta in [("list", [1, 2]), ("text", "xy"),
+                                                     ("object", {"k": 1}), ("null", None)]))
+        out = tmp_path / "out.jsonl"
+        assert main(["corpus", "reformat", str(docs), str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{docs}:line 1: skipped malformed record: 'meta' must be a JSON object, not [1, 2]",
+            f"{docs}:line 2: skipped malformed record: 'meta' must be a JSON object, not 'xy'"]
+        assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == [
+            "object", "null"]
+        assert main(["corpus", "reformat", str(docs), str(out), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert f"{docs}:line 1: 'meta' must be a JSON object, not [1, 2]" in err
+        assert "Traceback" not in err
 
     def test_fixture_gen_both_spellings(self, tmp_path):
         flags = ["--out-dir", str(tmp_path / "fix"), "--n-docs", "4",
@@ -483,6 +503,21 @@ class TestBadCountsExit2:
         assert rc == 2
         assert f"must be at least 1, not {value}" in capsys.readouterr().err
 
+    # each past the 128 TiB address space, so the allocation fails at once
+    @pytest.mark.parametrize("key,value", [("vocab_size", 10**12), ("max_positions", 10**12),
+                                           ("vocab_size", 10**20)],
+                             ids=["vocab-233-TiB", "positions-233-TiB", "vocab-past-numpy"])
+    def test_model_too_large_to_allocate(self, corpora, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc = main(["train", "run", "--preset", "d", "--corpus-b", str(corpora["pairs"]),
+                   "--out", str(tmp_path / "o"), "--steps", "1,1,1", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        count = re.search(r"the config's ([\d,]+) parameters cannot be allocated", err)
+        assert count and int(count[1].replace(",", "")) > value, err
+        assert "Traceback" not in err
+
     def test_checkpoint_config_with_zero_heads(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         Model(ModelConfig()).save_checkpoint(ckpt)
@@ -602,8 +637,8 @@ class TestShards:
         sample = pack_sft(("img", "what? ", "y"), tok, cfg.slot_length)
         sample.image_slots[0].start = len(sample)
         shard = tmp_path / "s.shard"
-        write_shard([sample], shard, tok.vocab_hash(),
-                    config_hash(cfg.resolution, cfg.patch, cfg.downsample))
+        write_raw_shard(shard, [sample], tok.vocab_hash(),
+                        config_hash(cfg.resolution, cfg.patch, cfg.downsample))
         assert self.align(tmp_path, shard) == 2
         assert "out of bounds" in capsys.readouterr().err
 
@@ -613,8 +648,8 @@ class TestShards:
         cfg, tok = ModelConfig(), ByteTokenizer()
         empty = PackedSample(np.zeros(0, np.uint32), np.zeros(0, np.uint8), np.zeros(0, np.uint8))
         shard = tmp_path / "s.shard"
-        write_shard([empty, pack_sft(("img", "what? ", "y"), tok, cfg.slot_length)], shard,
-                    tok.vocab_hash(), config_hash(cfg.resolution, cfg.patch, cfg.downsample))
+        write_raw_shard(shard, [empty, pack_sft(("img", "what? ", "y"), tok, cfg.slot_length)],
+                        tok.vocab_hash(), config_hash(cfg.resolution, cfg.patch, cfg.downsample))
         assert self.align(tmp_path, shard) == 2
         err = capsys.readouterr().err
         assert "bad record at byte 76: empty sample" in err and "Traceback" not in err

@@ -32,7 +32,7 @@ from vlmforge.model import (
     _halves,
     _linear_bwd,
 )
-from vlmforge.packing import IMAGE, ImageSlot, PackedSample, bind_pixels, pack_document
+from vlmforge.packing import IMAGE, ImageSlot, PackedSample, bind_pixels, pack_document, pack_sft
 from vlmforge.trainer import ALL_TRAINABLE, PROJECTOR_ONLY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -71,12 +71,20 @@ def sample(tok, cfg, text, image_ids=()):
 
 def batch(tok, cfg, seed=0, size=8):
     """The pretrain mix: one-image caption pairs, two-image documents and,
-    now and then, a text-only sample; an image may recur."""
+    now and then, a text-only sample; an image may recur. The first two
+    samples are SFT demos instead, with loss on the answer only: one with
+    an image, the batch's longest sample, which the second half always
+    takes, and one text-only."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(size):
         kind = rng.integers(3)
         text = "".join(chr(97 + c) for c in rng.integers(0, 26, size=int(rng.integers(5, 40))))
+        if i < 2:
+            demo = ((f"shared-{seed}", "what is it? ", (2 * text).ljust(60, "!")) if i == 0
+                    else (None, "? ", text))
+            out.append(pack_sft(demo, tok, cfg.slot_length))
+            continue
         images = [(), (f"pair-{seed}-{i}",), (f"doc-{seed}-{i}", f"shared-{seed}")][kind]
         out.append(sample(tok, cfg, text, images))
     return out, bind_pixels(out, cfg.resolution)

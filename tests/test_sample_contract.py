@@ -1,6 +1,7 @@
 """The one sample contract, `packing.check_batch`: the malformed samples that
-`read_shard` and every model entry refuse, with the same message; how often
-the model checks a batch; and shards mutated byte by byte."""
+`write_shard`, `read_shard` and every model entry refuse, with the same
+message; the records of the samples it accepts; how often the model checks a
+batch; and shards mutated byte by byte."""
 
 import atexit
 import dataclasses
@@ -8,7 +9,7 @@ import subprocess
 
 import numpy as np
 import pytest
-from conftest import ready_worker
+from conftest import ready_worker, write_raw_shard
 from hypothesis import given, settings, strategies as st
 
 from vlmforge import halves
@@ -24,6 +25,8 @@ from vlmforge.packing import (
     bind_pixels,
     check_batch,
     config_hash,
+    decode_record,
+    encode_record,
     pack_document,
     pack_sft,
     read_shard,
@@ -59,10 +62,11 @@ def set_at(a, i, value):
 
 
 def malformed():
-    """(case, sample, the words its refusal holds, whether a shard can hold
-    it). A shard cannot hold masks longer or shorter than the tokens, nor a
-    negative slot start; the last four cases break limits only a model
-    knows, which shards leave to it."""
+    """(case, sample, the words its refusal holds, whether a record can
+    hold it). A record cannot hold masks longer or shorter than the tokens,
+    a negative slot start, an unknown stage tag nor an image id that is
+    past 65,535 bytes or not UTF-8; the last four cases break limits only
+    a model knows, which shards leave to it."""
     imaged, text = sample("ABCD", ["img"]), sample("ABCD")
     replace = dataclasses.replace
     image = imaged.modality_mask == IMAGE
@@ -83,6 +87,11 @@ def malformed():
          "out of bounds", True),
         ("negative-slot-start", replace(imaged, image_slots=[ImageSlot(-1, S, "img")]),
          "out of bounds", False),
+        ("overlong-image-id", replace(imaged, image_slots=[ImageSlot(1, S, "x" * 70_000)]),
+         "image id of 70000 bytes: a shard holds ids of at most 65,535 bytes", False),
+        ("unknown-stage-tag", replace(text, stage_tag="x"), "unknown stage tag 'x'", False),
+        ("non-utf8-image-id", replace(imaged, image_slots=[ImageSlot(1, S, "\udc80")]),
+         "image id '\\udc80' is not UTF-8 text", False),
         # IMAGE rows with no slot would keep their token embedding, a slot over
         # TEXT rows would replace them, and overlapping slots would merge twice
         ("slot-less-image-rows", replace(imaged, image_slots=[]), "IMAGE positions", True),
@@ -128,14 +137,17 @@ def refusal(bad) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("entry", ["read_shard", *BATCHED, "prefill", "generate",
-                                   "continuation_losses"])
+@pytest.mark.parametrize("entry", ["write_shard", "read_shard", *BATCHED, "prefill",
+                                   "generate", "continuation_losses"])
 def test_malformed_sample_refused(entry, tmp_path, monkeypatch):
     """Each malformed sample is refused with its rule's one message: by
-    read_shard, as a record a raw writer put after a good one, with that
-    record's byte offset, and by every model entry, alone and first or last
-    in a batch, before any block runs and before the worker is sent
-    anything. Every entry that takes a list refuses an empty one."""
+    write_shard, after a good one, with the byte offset its record would
+    have had, leaving the shard already at the path; by read_shard, as a
+    record a raw writer put after a good one, with that record's byte
+    offset; and by every model entry, alone and first or last in a batch,
+    before any block runs and before the worker is sent anything. A shard
+    takes the samples only a model refuses. Every entry that takes a list
+    refuses an empty one."""
     model = Model(CFG)
     good = [sample("a good one", ["img"]), sample("another good one")]
     pixels = bind_pixels(good, CFG.resolution)
@@ -143,13 +155,23 @@ def test_malformed_sample_refused(entry, tmp_path, monkeypatch):
     monkeypatch.setattr(model_module, "_block_fwd", lambda *args: blocks.append(args[2]))
     monkeypatch.setattr(halves, "second_half", lambda *args: sent.append(args))
     for case, bad, words, in_shard in malformed():
-        want = refusal(bad)
+        want, path = refusal(bad), tmp_path / f"{case}.shard"
+        if entry == "write_shard":
+            write_shard(good[:1], path, *HASHES)
+            before = path.read_bytes()
+            if want is None:
+                assert write_shard([good[0], bad], path, *HASHES) == 2, case
+                assert len(list(read_shard(path, *HASHES))) == 2, case
+                continue
+            with pytest.raises(ShardFormatError) as got:
+                write_shard([good[0], bad], path, *HASHES)
+            assert words in want, case
+            assert str(got.value) == f"{path}: bad record at byte {len(before)}: {want}", case
+            assert path.read_bytes() == before, case
+            continue
         if entry == "read_shard":
             if in_shard:
-                path = tmp_path / f"{case}.shard"
-                write_shard(good[:1], path, *HASHES)
-                offset = path.stat().st_size
-                write_shard([good[0], bad], path, *HASHES)
+                offset = write_raw_shard(path, [good[0], bad], *HASHES)[1]
                 with pytest.raises(ShardFormatError) as got:
                     list(read_shard(path, *HASHES))
                 assert words in want, case
@@ -163,7 +185,7 @@ def test_malformed_sample_refused(entry, tmp_path, monkeypatch):
     if entry in BATCHED:  # a batch needs a sample, as a sample needs a position
         with pytest.raises(ConfigMismatchError, match="^empty batch: no sample to decode$"):
             call(model, entry, [], pixels)
-    if entry != "read_shard":
+    if entry not in ("write_shard", "read_shard"):
         bad_grid = {**pixels, "img": np.zeros((8, 8, 3))}
         for batch in (good[:1], good) if entry in BATCHED else (good[:1],):
             with pytest.raises(ConfigMismatchError, match="pixel grid"):
@@ -233,6 +255,51 @@ def test_worker_half_runs_no_check(monkeypatch):
             worker.close()
     assert loss == want[0] and grads.keys() == want[1].keys()
     assert all(np.array_equal(grads[name], g) for name, g in want[1].items())
+
+
+# an id of a short text then one character repeated, to a UTF-8 length
+# anywhere up to past the 65,535-byte limit, and often right at it
+image_id = st.builds(lambda head, char, size: head + char * (size // len(char.encode())),
+                     st.text(max_size=4), st.sampled_from(["a", "\u00e9", "\u20ac", "\U0001f600"]),
+                     st.one_of(st.integers(0, 70_000), st.integers(65_530, 65_540)))
+
+
+@st.composite
+def samples(draw):
+    """A sample of TEXT runs and image slots, any token ids, loss bits on
+    TEXT positions after the first, and either stage tag."""
+    tokens, modality, slots = [], [], []
+    for is_image, length in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 5)),
+                                          min_size=1, max_size=6)):
+        if is_image:
+            slots.append(ImageSlot(len(tokens), length, draw(image_id)))
+        tokens += draw(st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length))
+        modality += [IMAGE if is_image else 0] * length
+    bits = draw(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens)))
+    loss = [int(b and m != IMAGE and i > 0) for i, (b, m) in enumerate(zip(bits, modality))]
+    return PackedSample(np.array(tokens, dtype=np.uint32), np.array(modality, dtype=np.uint8),
+                        np.array(loss, dtype=np.uint8), slots,
+                        draw(st.sampled_from(["pretrain", "sft"])))
+
+
+@given(samples())
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+def test_accepted_sample_round_trips_its_record(packed):
+    """Every sample check_batch accepts has a record, which decodes to it
+    field for field; the only samples refused here hold an id past the
+    record's 65,535 bytes."""
+    past = [n for n in (len(slot.image_id.encode()) for slot in packed.image_slots)
+            if n > 65_535]
+    if past:
+        with pytest.raises(ConfigMismatchError, match=f"^image id of {past[0]} bytes"):
+            check_batch([packed])
+        return
+    check_batch([packed])
+    back = decode_record(encode_record(packed))
+    for name in ("tokens", "modality_mask", "loss_mask"):
+        got, want = getattr(back, name), getattr(packed, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert back.image_slots == packed.image_slots and back.stage_tag == packed.stage_tag
 
 
 @pytest.fixture(scope="module")
