@@ -201,6 +201,18 @@ def _check_utf8(line: str) -> None:
                                     f"character {exc.start} is not UTF-8") from None
 
 
+def _check_escapes(line: str, obj) -> None:
+    """Refuse a record whose JSON \\u escapes decode to a lone surrogate,
+    which no UTF-8 text holds, in any string: text, ids, caption or meta.
+    A line without an escape cannot hold one and is not looked at."""
+    if "\\u" in line:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusFormatError(f"a \\u escape gives the lone surrogate "
+                                    f"{exc.object[exc.start]!r}, which is not UTF-8") from None
+
+
 def parse_corpus(
     path,
     format: str,
@@ -225,6 +237,7 @@ def parse_corpus(
             try:
                 _check_utf8(line)
                 obj = json.loads(line)
+                _check_escapes(line, obj)
                 if not isinstance(obj, dict):
                     raise CorpusFormatError("line is not a JSON object")
                 if format == "interleaved-jsonl":

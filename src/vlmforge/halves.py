@@ -18,15 +18,16 @@ system. The file holds every group's parameters, which the caller copies
 in before each call, then every group's gradients, of which the worker
 zeroes and writes the trainable groups' only: each a buffer per group, laid
 out by the config alone, so a new freeze policy changes nothing there. A
-config that needs more room grows the file; neither side respawns. A pipe
-carries only the half's shard records (`packing.encode_record`) and pixels
-and a few scalars one way, and the half's cross-entropy sum the other.
+config that needs more room grows the file; neither side respawns. One
+duplex `multiprocessing.connection` carries only the half's shard records
+(`packing.encode_record`), its pixel stack and a few scalars one way, and
+the half's cross-entropy sum the other; it frames the messages.
 
-Between calls the worker sleeps in a blocking read. It exits when the pipe
-closes: at the caller's exit (`atexit`), or when the caller dies. If it
-dies or fails, the call in flight computes its second half here, with the
-same bits, one warning is logged, and the process computes both halves
-itself from then on.
+Between calls the worker sleeps in a blocking read. It exits when the
+connection closes: at the caller's exit (`atexit`), or when the caller
+dies. If it dies or fails, the call in flight computes its second half
+here, with the same bits, one warning is logged, and the process computes
+both halves itself from then on.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ import logging
 import mmap
 import os
 import pickle
-import select
 import signal
-import struct
 import subprocess
 import sys
 import threading
@@ -51,25 +50,8 @@ from .packing import decode_record, encode_record
 
 logger = logging.getLogger(__name__)
 
-_HEADER = struct.Struct("<Q")  # a message's byte length, before its bytes
 _ALIGN = 64  # the gradients' byte offset in the shared memory is a multiple of this
-_READY = b"ready"
 _EXIT_WAIT_S = 10.0  # how long the caller's exit waits for the worker to end
-
-
-def _send(fh, payload: bytes) -> None:
-    fh.write(_HEADER.pack(len(payload)) + payload)
-    fh.flush()
-
-
-def _receive(fh) -> bytes | None:
-    """The next message on the pipe, or None once it is closed."""
-    head = fh.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        return None
-    (size,) = _HEADER.unpack(head)
-    payload = fh.read(size)
-    return payload if len(payload) == size else None
 
 
 def _map(cfg, memfd: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -101,51 +83,44 @@ def _unwire(wired: tuple) -> np.ndarray:
 
 
 class _Worker:
-    """The worker process, its two pipes and the memory it shares with this
-    process; made and used by the process that spawned it only."""
+    """The worker process, the connection to it and the memory it shares
+    with this process; made and used by the process that spawned it only."""
 
     def __init__(self):
+        # imported here, so that a process that never trains does not load it
+        from multiprocessing.connection import Pipe
+
         self.owner = os.getpid()
         self.cfg = None  # the config the shared buffers are laid out for
         self.ready = False
         self.pending = False  # a request sent whose reply is not read yet
         package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        fds = []  # everything opened here, closed again if the worker does not start
-        try:
+        with contextlib.ExitStack() as opened:  # closed again if the worker does not start
             self.memfd = os.memfd_create("vlmforge-halves")
-            fds.append(self.memfd)
-            requests_r, requests_w = os.pipe()
-            fds += [requests_r, requests_w]
-            replies_r, replies_w = os.pipe()
-            fds += [replies_r, replies_w]
-            boot = (f"import sys; sys.path.insert(0, {package_parent!r}); "
-                    f"from vlmforge.halves import _serve; "
-                    f"_serve({requests_r}, {replies_w}, {self.memfd})")
-            self.proc = subprocess.Popen(
-                [sys.executable, "-c", boot], pass_fds=(requests_r, replies_w, self.memfd),
-                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
-        except BaseException:
-            for fd in fds:
-                os.close(fd)
-            raise
-        os.close(requests_r)  # the worker's ends
-        os.close(replies_w)
-        self.requests = open(requests_w, "wb")
-        self.replies = open(replies_r, "rb")
+            opened.callback(os.close, self.memfd)
+            self.conn, theirs = Pipe()
+            opened.callback(self.conn.close)
+            with theirs:  # the worker's end, which this process closes once it is passed on
+                boot = (f"import sys; sys.path.insert(0, {package_parent!r}); "
+                        f"from vlmforge.halves import _serve; "
+                        f"_serve({theirs.fileno()}, {self.memfd})")
+                self.proc = subprocess.Popen(
+                    [sys.executable, "-c", boot], pass_fds=(theirs.fileno(), self.memfd),
+                    stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+            opened.pop_all()
 
     def is_ready(self) -> bool:
-        """Whether the worker has started; never waits for it."""
-        if not self.ready and select.select([self.replies], [], [], 0)[0]:
-            if _receive(self.replies) != _READY:
-                raise EOFError("the worker exited while starting")
+        """Whether the worker has started; never waits for it. EOFError if
+        it exited while starting."""
+        if not self.ready and self.conn.poll(0):
+            self.conn.recv_bytes()  # its first message, which says no more
             self.ready = True
         return self.ready
 
     def submit(self, model, samples, pixels, train, total: float) -> None:
         """Copy the parameters into the shared memory and send the half."""
         if self.pending:  # an interrupted call left its reply unread
-            if _receive(self.replies) is None:
-                raise EOFError("the worker exited")
+            self.conn.recv_bytes()
         if model.cfg != self.cfg:
             self.params, self.grads = _map(model.cfg, self.memfd)
             self.cfg = model.cfg
@@ -156,34 +131,30 @@ class _Worker:
         stack = np.stack([pixels[i] for i in ids]) if ids else np.empty(0)
         request = (model.cfg, tuple(sorted(train)), total, [encode_record(s) for s in samples],
                    ids, _wire(stack))
-        _send(self.requests, pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL))
+        self.conn.send_bytes(pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL))
         self.pending = True
 
     def result(self) -> tuple[float, dict[str, np.ndarray]]:
         """The half's cross-entropy sum and its gradient buffers by group, in
         the shared memory: read the trainable groups' before the next `submit`."""
-        reply = _receive(self.replies)
+        reply = self.conn.recv_bytes()  # EOFError if the worker has exited
         self.pending = False
-        if reply is None:
-            raise EOFError("the worker exited")
         outcome = pickle.loads(reply)
         if isinstance(outcome, str):  # the worker's traceback
             raise RuntimeError(outcome)
         return outcome, self.grads
 
     def close(self) -> None:
-        """End the worker: close its pipe, which it reads as the end, wait
-        for it, and kill it if it does not end in time."""
+        """End the worker: close the connection, which it reads as the end,
+        wait for it, and kill it if it does not end in time."""
         if self.owner != os.getpid():
             return
-        with contextlib.suppress(OSError):  # a broken pipe: the worker has ended
-            self.requests.close()
+        self.conn.close()
         try:
             self.proc.wait(_EXIT_WAIT_S)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        self.replies.close()
         os.close(self.memfd)
 
 
@@ -269,19 +240,22 @@ def second_half(model, samples, pixels, train, total: float):
         _PROCESS.lock.release()
 
 
-def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
-    """The worker's loop: answer each request until the pipe closes."""
+def _serve(fd: int, memfd: int) -> None:
+    """The worker's loop: answer each request until the connection closes."""
+    from multiprocessing.connection import Connection
+
     from .model import Model
 
     # a terminal's interrupt reaches the whole process group; the caller
-    # handles it, and the worker ends when the caller closes the pipe
+    # handles it, and the worker ends when the caller closes the connection
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # a reply that meets a broken pipe: the caller has ended, and so does the loop
-    with contextlib.suppress(BrokenPipeError), open(requests_fd, "rb") as requests, \
-            open(replies_fd, "wb") as replies:
-        _send(replies, _READY)
+    # the connection's end, or a reply or request it cuts off: the caller
+    # has ended, and so does the loop
+    with contextlib.suppress(EOFError, ConnectionError), Connection(fd) as conn:
+        conn.send_bytes(b"")  # ready
         key = None
-        while (message := _receive(requests)) is not None:
+        while True:
+            message = conn.recv_bytes()
             try:
                 cfg, groups, total, records, ids, stack = pickle.loads(message)
                 samples = [decode_record(record) for record in records]
@@ -297,4 +271,4 @@ def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
                 outcome = model._scored_grads(samples, pixels, set(groups), total, grads)
             except Exception:  # reported to the caller, which then computes the half itself
                 outcome = traceback.format_exc()
-            _send(replies, pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+            conn.send_bytes(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))

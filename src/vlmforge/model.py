@@ -191,14 +191,20 @@ def _loaded_openblas() -> list[tuple[str, ctypes.CDLL]]:
     return libs
 
 
-def _openblas_threads_fn(lib: ctypes.CDLL, verb: str):
-    """`lib`'s openblas_<verb>_num_threads under the export name its build
-    uses (numpy's and scipy's bundled builds prefix it, 64-bit-integer
-    builds suffix it), with its C types declared; None if it has none."""
+# the C types of the OpenBLAS functions read here: (argument types, result type)
+_OPENBLAS_FNS = {"set_num_threads": ((ctypes.c_int,), None),
+                 "get_num_threads": ((), ctypes.c_int),
+                 "get_corename": ((), ctypes.c_char_p)}
+
+
+def _openblas_fn(lib: ctypes.CDLL, name: str):
+    """`lib`'s openblas_<name> under the export name its build uses (numpy's
+    and scipy's bundled builds prefix it, 64-bit-integer builds suffix it),
+    with its C types declared; None if it has none."""
     for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
-        fn = getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None)
+        fn = getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
         if fn is not None:
-            fn.argtypes, fn.restype = ((ctypes.c_int,), None) if verb == "set" else ((), ctypes.c_int)
+            fn.argtypes, fn.restype = _OPENBLAS_FNS[name]
             return fn
     return None
 
@@ -209,7 +215,7 @@ def _one_blas_thread() -> bool:
     OpenBLAS, or no thread setter, is found, BLAS keeps its own count."""
     pinned = []
     for _, lib in _loaded_openblas():
-        setter, getter = _openblas_threads_fn(lib, "set"), _openblas_threads_fn(lib, "get")
+        setter, getter = _openblas_fn(lib, "set_num_threads"), _openblas_fn(lib, "get_num_threads")
         if setter is not None and getter is not None:
             setter(1)
             pinned.append(getter() == 1)
@@ -223,16 +229,20 @@ _one_blas_thread()
 
 def blas_record() -> dict:
     """The BLAS numpy was built with, and each loaded OpenBLAS's thread count
-    by file name, for run manifests."""
+    and kernel (the CPU its code was chosen for) by file name, for run
+    manifests."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config instead
         blas = {}
-    threads = {}
+    threads, kernels = {}, {}
     for path, lib in _loaded_openblas():
-        if (getter := _openblas_threads_fn(lib, "get")) is not None:
+        if (getter := _openblas_fn(lib, "get_num_threads")) is not None:
             threads[os.path.basename(path)] = getter()
-    return {"name": blas.get("name"), "version": blas.get("version"), "threads": threads}
+        if (corename := _openblas_fn(lib, "get_corename")) is not None:
+            kernels[os.path.basename(path)] = (corename() or b"").decode("ascii", "replace")
+    return {"name": blas.get("name"), "version": blas.get("version"), "threads": threads,
+            "kernels": kernels}
 
 
 # ---------------------------------------------------------------------------

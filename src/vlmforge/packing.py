@@ -42,10 +42,13 @@ IMAGE = 1
 
 SHARD_MAGIC = b"VLMSHARD"
 SHARD_VERSION = 1
-# a record stores its stage tag in one byte and an image id's length in 16 bits
+# a record stores its stage tag in one byte, each token in 32 bits and an
+# image id's length in 16 bits
 _STAGE_TAGS = {"pretrain": 0, "sft": 1}
 _STAGE_NAMES = {v: k for k, v in _STAGE_TAGS.items()}
+_MAX_TOKEN = 0xFFFFFFFF
 _MAX_ID_BYTES = 0xFFFF
+_RECORD_DTYPES = frozenset(map(np.dtype, ("u1", "u2", "u4")))  # tokens a record always holds
 
 
 class ByteTokenizer:
@@ -95,6 +98,7 @@ def check_batch(samples) -> None:
     shards and the model share:
     - at least one sample in the batch;
     - at least one position, and a stage tag a record stores;
+    - tokens of an integer dtype, each in [0, 2**32), as a record stores them;
     - masks as long as the tokens, of 0 and 1;
     - image slots within the sample, with image ids a record stores (UTF-8
       text of at most 65,535 bytes), whose positions are exactly the IMAGE
@@ -115,6 +119,11 @@ def check_batch(samples) -> None:
     if unknown:
         raise ConfigMismatchError(f"unknown stage tag {min(map(repr, unknown))}: a record "
                                   f"stores {' or '.join(map(repr, _STAGE_TAGS))}")
+    wide = [s.tokens for s in samples if s.tokens.dtype not in _RECORD_DTYPES]
+    if wide and (any(t.dtype.kind not in "iu" for t in wide)
+                 or (t := np.concatenate(wide)).min() < 0 or t.max() > _MAX_TOKEN):
+        raise ConfigMismatchError("tokens must be integers in [0, 2**32): a record stores "
+                                  "each in 32 bits")
     for s in samples:
         if not len(s.modality_mask) == len(s.loss_mask) == len(s):
             raise ConfigMismatchError(

@@ -5,6 +5,7 @@ so `pytest -v -s` doubles as an acceptance report. The direction-of-effect
 tests train real (toy-sized) models, so this file dominates suite runtime.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from vlmforge.corpus import (
 )
 from vlmforge.diagnostics import alignment_profile, chamfer_cosine
 from vlmforge.evaluation import EvalItem, EvalTask, run_eval
-from vlmforge.fixtures import FixtureSpec, fixture_gen, make_interleaved
+from vlmforge.fixtures import FixtureSpec, fixture_gen, make_interleaved, make_pairs
 from vlmforge.model import Model, ModelConfig, TransformerBlockProjector
 from vlmforge.packing import (
     ByteTokenizer,
@@ -36,9 +37,12 @@ from vlmforge.packing import (
 )
 from vlmforge.trainer import (
     ALL_TRAINABLE,
+    CAPTION_PROMPT,
+    PRESET_TEXT_ONLY_FRACTION,
     PROJECTOR_ONLY,
     RecipeCorpora,
     RunLog,
+    StagePlan,
     StageSpec,
     batched,
     document_sample_stream,
@@ -390,3 +394,42 @@ def test_criterion_12_eval_chance_band_and_ceiling():
     report(12, "random weights score at chance and an overfit model scores 1.0",
            0.40 <= random_acc <= 0.60 and overfit_acc == 1.0,
            f"random {random_acc:.3f}, overfit {overfit_acc:.3f}")
+
+
+def test_criterion_13_text_only_sft_keeps_text_ability():
+    """Paper finding 3: re-blending text-only data into SFT restores the
+    LLM's text-only ability. Preset c at 50/200/50 steps, with SFT's
+    text-only share at 0 and at the preset's; both arms share every stage
+    before SFT. Scored on 64 held-out caption pairs as the text-only demo
+    stage_batches builds; their visual caption loss is reported, not held
+    to a direction."""
+    results = []
+    for seed in range(3):
+        spec = FixtureSpec(n_docs=40, images_per_doc=2, tokens_per_image=16, n_pairs=80,
+                           seed=seed)
+        corpora = RecipeCorpora(make_interleaved(spec), make_pairs(spec))
+        plan, projector = preset_plan("c", steps=(50, 200, 50))
+        cfg = ModelConfig(projector=projector, seed=seed)
+        pretrained = Model(cfg)
+        run_recipe(StagePlan(plan.stages[:2]), pretrained, corpora, seed)
+        held_out = make_pairs(dataclasses.replace(spec, seed=100 + seed))[:64]
+        text = [pack_sft((None, "Repeat after me: " + p.caption + " -> ", p.caption), TOK,
+                         cfg.slot_length) for p in held_out]
+        visual = [pack_sft((p.image_id, CAPTION_PROMPT, p.caption), TOK, cfg.slot_length)
+                  for p in held_out]
+        pixels = bind_pixels(visual, cfg.resolution)
+        losses = {}
+        for fraction in (0.0, PRESET_TEXT_ONLY_FRACTION):
+            model = Model(cfg, pretrained.params)
+            sft = dataclasses.replace(plan.stages[2], text_only_fraction=fraction)
+            run_recipe(StagePlan([sft]), model, corpora, seed)
+            losses[fraction] = (float(np.mean(model.sequence_loss(text))),
+                                float(np.mean(model.sequence_loss(visual, pixels))))
+        results.append(losses)
+    blended = PRESET_TEXT_ONLY_FRACTION
+    ok = all(arms[blended][0] < arms[0.0][0] for arms in results)
+    detail = "; ".join(f"seed {s}: text {arms[0.0][0]:.3f} -> {arms[blended][0]:.3f}, "
+                       f"visual {arms[0.0][1]:.3f} -> {arms[blended][1]:.3f}"
+                       for s, arms in enumerate(results))
+    report(13, f"a {blended:.2f} text-only share in SFT lowers held-out text-only loss",
+           ok, detail)

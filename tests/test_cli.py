@@ -127,6 +127,53 @@ class TestCorpusCommands:
         assert main(["corpus", "stats", str(pairs), "--format", "pairs-jsonl", "--strict"]) == 2
         assert f"{pairs}:line 2: byte 0xff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt, bad", [
+        ("interleaved-jsonl", {"doc_id": "b", "segments": [{"text": "h\ud800i"}]}),
+        ("interleaved-jsonl", {"doc_id": "b", "segments": [{"image_id": "\udfff"},
+                                                           {"text": "x"}]}),
+        ("interleaved-jsonl", {"doc_id": "b\ud800", "segments": [{"text": "x"}]}),
+        ("interleaved-jsonl", {"doc_id": "b", "segments": [{"text": "x"}],
+                               "meta": {"k": ["\ud800"]}}),
+        ("pairs-jsonl", {"image_id": "b", "caption": "tw\ud800", "clip_score": 0.5}),
+        ("pairs-jsonl", {"image_id": "\ud800b", "caption": "two", "clip_score": 0.5}),
+    ], ids=["text", "image-id", "doc-id", "meta", "caption", "pair-image-id"])
+    def test_surrogate_escape_skipped_or_exits_2(self, tmp_path, capsys, caplog, fmt, bad):
+        """A JSON escape of a lone surrogate, which no UTF-8 text holds, in
+        any string of a record: the line is skipped with its number, and
+        under --strict the command exits 2, with no traceback."""
+        good = ([{"doc_id": d, "segments": [{"text": "ok"}]} for d in "ac"]
+                if fmt == "interleaved-jsonl" else
+                [{"image_id": i, "caption": "ok", "clip_score": 0.5} for i in "ac"])
+        path = tmp_path / "escaped.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (good[0], bad, good[1])))
+        assert path.read_text().isascii()  # the escape, not the character: no byte is bad
+        assert main(["corpus", "stats", str(path), "--format", fmt]) == 0
+        assert json.loads(capsys.readouterr().out)["num_docs"] == 2
+        [surrogate] = re.findall("[\ud800-\udfff]", json.dumps(bad, ensure_ascii=False))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:line 2: skipped malformed record: a \\u escape gives the lone surrogate "
+            f"{surrogate!r}, which is not UTF-8"]
+        assert main(["corpus", "stats", str(path), "--format", fmt, "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:line 2: a \\u escape gives the lone surrogate" in err
+        assert "Traceback" not in err
+
+    def test_pack_run_skips_or_refuses_a_surrogate_escape(self, tmp_path, capsys):
+        """`pack run` packs the other lines of a corpus with a lone
+        surrogate's escape in a text, and under --strict exits 2 and writes
+        no shard."""
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(json.dumps({"doc_id": d, "segments": [{"text": text}]}) + "\n"
+                                for d, text in [("a", "one"), ("b", "h\ud800i"), ("c", "three")]))
+        shard = tmp_path / "docs.shard"
+        assert main(["pack", "run", str(docs), str(shard)]) == 0
+        assert f"packed 2 samples into {shard}" in capsys.readouterr().out
+        shard.unlink()
+        assert main(["pack", "run", str(docs), str(shard), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert f"{docs}:line 2: a \\u escape gives the lone surrogate '\\ud800'" in err
+        assert "Traceback" not in err and not shard.exists()
+
     def test_to_pairs_and_topk(self, corpora, tmp_path, capsys):
         pairs_out = tmp_path / "pairs.jsonl"
         rc = main(["corpus", "to-pairs", str(corpora["interleaved"]), str(pairs_out)])
@@ -231,7 +278,7 @@ class TestPipeline:
         manifest = out / "runlog.csv.manifest.json"
         outputs = json.loads(manifest.read_text())["outputs"]
         blas = json.loads(manifest.read_text())["blas"]
-        assert blas.keys() == {"name", "version", "threads"}
+        assert blas.keys() == {"name", "version", "threads", "kernels"}
         assert set(blas["threads"].values()) <= {1}
         assert len(outputs) == len(set(outputs))
         assert set(outputs) == {str(p) for p in out.iterdir() if p != manifest}

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,69 @@ def test_threads_share_the_worker_one_call_at_a_time(tok, monkeypatch):
         assert len(got[k]) == 4
         for result in got[k]:
             assert_bitwise_equal(result, want)
+
+
+def worker_failures(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "vlmforge.halves" and "worker process failed" in r.getMessage()]
+
+
+def test_half_the_worker_cannot_compute_is_computed_here(tok, monkeypatch, caplog):
+    """A half that raises in the worker is answered with the worker's
+    traceback: this process computes it, with the same bits, logs one
+    warning, and computes both halves itself from then on."""
+    model = Model(cfg())
+    samples, pixels = batch(tok, model.cfg)
+    want = in_process(monkeypatch, model, samples, pixels)
+    monkeypatch.setattr(halves, "_PROCESS", halves._ProcessWorker())
+    worker = ready_worker()
+    submit, result, replies = halves._Worker.submit, halves._Worker.result, []
+
+    def submit_unknown_group(self, model, samples, pixels, train, total):
+        # a group the worker's layout lacks fails the half there, not here
+        submit(self, model, samples, pixels, {*train, "no-such-group"}, total)
+
+    def result_or_traceback(self):
+        try:
+            return result(self)
+        except RuntimeError as exc:
+            replies.append(str(exc))
+            raise
+
+    monkeypatch.setattr(halves._Worker, "submit", submit_unknown_group)
+    monkeypatch.setattr(halves._Worker, "result", result_or_traceback)
+    with caplog.at_level(logging.WARNING, logger="vlmforge.halves"):
+        got = [model.loss_and_grads(samples, pixels) for _ in range(2)]
+    for one in got:
+        assert_bitwise_equal(one, want)
+    assert len(replies) == 1 and "KeyError: 'no-such-group'" in replies[0]
+    assert len(worker_failures(caplog)) == 1
+    assert halves._PROCESS.failed and halves._PROCESS.worker is None
+    assert worker.proc.poll() is not None
+
+
+def test_worker_that_exits_before_it_is_ready(tok, monkeypatch, caplog):
+    """A worker that exits while it starts fails once, with one warning;
+    every call computes both halves here, with the same bits."""
+    if not halves._two_cpus():
+        pytest.skip("one CPU: no training worker")
+    model = Model(cfg())
+    samples, pixels = batch(tok, model.cfg)
+    want = in_process(monkeypatch, model, samples, pixels)
+    monkeypatch.setattr(halves, "_PROCESS", halves._ProcessWorker())
+    monkeypatch.setattr(sys, "executable", "/bin/false")  # exits at once, having said nothing
+    served, result = [], halves._Worker.result
+    monkeypatch.setattr(halves._Worker, "result",
+                        lambda self: (served.append(1), result(self))[1])
+    deadline = time.monotonic() + 60
+    with caplog.at_level(logging.WARNING, logger="vlmforge.halves"):
+        while not halves._PROCESS.failed:
+            assert time.monotonic() < deadline, "the worker's exit was never seen"
+            assert_bitwise_equal(model.loss_and_grads(samples, pixels), want)
+            time.sleep(0.01)
+        assert_bitwise_equal(model.loss_and_grads(samples, pixels), want)
+    assert len(worker_failures(caplog)) == 1 and served == []
+    assert halves._PROCESS.worker is None
 
 
 # ---------------------------------------------------------------------------

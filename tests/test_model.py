@@ -7,6 +7,7 @@ import re
 import resource
 import struct
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1237,12 +1238,13 @@ class TestContinuationLosses:
     @pytest.mark.parametrize("ids", [[-3], [65, -1]])
     def test_negative_id_rejected_before_any_block(self, tok, monkeypatch, ids):
         """A negative id would index embed.tok from its end and score as
-        the id vocab_size + id."""
+        the id vocab_size + id; the sample contract refuses it first."""
         cfg = TestBatchedPath.cfg(TransformerBlockProjector(2))
         prefix, pixels = TestKVCache.two_image_sample(tok, cfg)
         calls = []
         monkeypatch.setattr(model_module, "_block_fwd", lambda *args: calls.append(args[2]))
-        with pytest.raises(ConfigMismatchError, match="vocabulary"):
+        with pytest.raises(ConfigMismatchError,
+                           match=r"^tokens must be integers in \[0, 2\*\*32\)"):
             Model(cfg).continuation_losses(prefix, [ids, tok.encode("red")], pixels)
         assert calls == []
 
@@ -1340,10 +1342,13 @@ class TestOneBlasThread:
 
         setter, getter = (f"{prefix}openblas_{verb}_num_threads{suffix}" for verb in ("set", "get"))
         lib, calls = self.fake_openblas(setter, getter)
+        setattr(lib, f"{prefix}openblas_get_corename{suffix}", lambda: b"Haswell")
         monkeypatch.setattr(model_mod, "_loaded_openblas", lambda: [("/lib/libopenblas.so", lib)])
         assert model_mod._one_blas_thread()
         assert calls == [(setter, (1,)), (getter, ())]
-        assert model_mod.blas_record()["threads"] == {"libopenblas.so": 1}
+        record = model_mod.blas_record()
+        assert record["threads"] == {"libopenblas.so": 1}
+        assert record["kernels"] == {"libopenblas.so": "Haswell"}
 
     @pytest.mark.parametrize("libs", [[], [("/lib/libopenblas.so", types.SimpleNamespace())]],
                              ids=["no-openblas", "no-setter"])
@@ -1354,6 +1359,18 @@ class TestOneBlasThread:
         with caplog.at_level(logging.INFO, logger="vlmforge.model"):
             assert model_mod._one_blas_thread() is False
         assert "no OpenBLAS thread setter found" in caplog.text
+
+    def test_manifest_names_each_librarys_kernel(self, tmp_path):
+        """A run's bits depend on the kernel OpenBLAS chose for the CPU too:
+        a manifest names one for every library it counts threads for."""
+        from vlmforge.manifest import write_manifest
+
+        anchor = tmp_path / "out.txt"
+        anchor.write_text("x")
+        blas = json.loads(Path(write_manifest(anchor, "test", {}, None, [], [anchor]))
+                          .read_text())["blas"]
+        assert blas["kernels"].keys() == blas["threads"].keys()
+        assert all(blas["kernels"].values())
 
     def test_numpys_openblas_runs_one_thread(self):
         from vlmforge import model as model_mod

@@ -64,9 +64,10 @@ def set_at(a, i, value):
 def malformed():
     """(case, sample, the words its refusal holds, whether a record can
     hold it). A record cannot hold masks longer or shorter than the tokens,
-    a negative slot start, an unknown stage tag nor an image id that is
-    past 65,535 bytes or not UTF-8; the last four cases break limits only
-    a model knows, which shards leave to it."""
+    a token that is negative or not an integer, a negative slot start, an
+    unknown stage tag nor an image id that is past 65,535 bytes or not
+    UTF-8; the last four cases break limits only a model knows, which
+    shards leave to it."""
     imaged, text = sample("ABCD", ["img"]), sample("ABCD")
     replace = dataclasses.replace
     image = imaged.modality_mask == IMAGE
@@ -90,6 +91,11 @@ def malformed():
         ("overlong-image-id", replace(imaged, image_slots=[ImageSlot(1, S, "x" * 70_000)]),
          "image id of 70000 bytes: a shard holds ids of at most 65,535 bytes", False),
         ("unknown-stage-tag", replace(text, stage_tag="x"), "unknown stage tag 'x'", False),
+        # a record's 32-bit tokens would read -1 back as 4294967295, and 65.7 as 65
+        ("negative-token", replace(text, tokens=set_at(text.tokens.astype(np.int64), 2, -1)),
+         "tokens must be integers in [0, 2**32)", False),
+        ("float-tokens", replace(text, tokens=set_at(text.tokens.astype(np.float64), 2, 65.7)),
+         "tokens must be integers in [0, 2**32)", False),
         ("non-utf8-image-id", replace(imaged, image_slots=[ImageSlot(1, S, "\udc80")]),
          "image id '\\udc80' is not UTF-8 text", False),
         # IMAGE rows with no slot would keep their token embedding, a slot over
