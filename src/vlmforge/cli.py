@@ -51,12 +51,22 @@ def _add_config(parser):
                         help="JSON ModelConfig object, partial allowed (default: ModelConfig's)")
 
 
+def _read_json(path):
+    """The JSON value of file `path`; a file that is not JSON raises
+    VlmforgeError naming it."""
+    text = manifest.read_utf8(path)
+    try:
+        return manifest.parse_json(text)
+    except VlmforgeError as exc:
+        raise VlmforgeError(f"{path}: {exc}") from None
+
+
 def _model_config(args, projector=None) -> ModelConfig:
     """The --config JSON over `projector` (a preset's) and the ModelConfig
     defaults, with --seed over all on a command that takes one."""
     fields = {} if projector is None else {"projector": dataclasses.asdict(projector)}
     if args.config is not None:
-        fields.update(fields_from_json(ModelConfig, json.loads(manifest.read_utf8(args.config))))
+        fields.update(fields_from_json(ModelConfig, _read_json(args.config)))
     if "seed" in args:
         fields["seed"] = args.seed
     return ModelConfig.from_json(fields)
@@ -160,7 +170,7 @@ def cmd_pack_run(args) -> int:
 
 def _plan_from_json(path) -> trainer.StagePlan:
     """{"stages": [StageSpec objects]}; `policy` lists the trainable groups."""
-    obj = json.loads(manifest.read_utf8(path))
+    obj = _read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("stages"), list):
         raise VlmforgeError(f"{path}: a plan is a JSON object with a list of stages")
     stages = []
@@ -446,7 +456,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (VlmforgeError, OSError, json.JSONDecodeError) as exc:
+    except (VlmforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

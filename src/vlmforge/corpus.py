@@ -10,7 +10,6 @@ into one deterministic document stream at target image proportions.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, VlmforgeError
+from .manifest import parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -201,18 +201,6 @@ def _check_utf8(line: str) -> None:
                                     f"character {exc.start} is not UTF-8") from None
 
 
-def _check_escapes(line: str, obj) -> None:
-    """Refuse a record whose JSON \\u escapes decode to a lone surrogate,
-    which no UTF-8 text holds, in any string: text, ids, caption or meta.
-    A line without an escape cannot hold one and is not looked at."""
-    if "\\u" in line:
-        try:
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise CorpusFormatError(f"a \\u escape gives the lone surrogate "
-                                    f"{exc.object[exc.start]!r}, which is not UTF-8") from None
-
-
 def parse_corpus(
     path,
     format: str,
@@ -236,8 +224,7 @@ def parse_corpus(
                 continue
             try:
                 _check_utf8(line)
-                obj = json.loads(line)
-                _check_escapes(line, obj)
+                obj = parse_json(line)
                 if not isinstance(obj, dict):
                     raise CorpusFormatError("line is not a JSON object")
                 if format == "interleaved-jsonl":
@@ -250,7 +237,7 @@ def parse_corpus(
                     if not record.caption.strip():
                         dropped_captions += 1
                         continue
-            except (CorpusFormatError, json.JSONDecodeError, ValueError) as exc:
+            except (VlmforgeError, ValueError) as exc:  # ValueError: int() of a sim_scores key
                 if strict:
                     raise CorpusFormatError(str(exc), line_no=line_no, path=str(path)) from exc
                 logger.warning("%s:line %d: skipped malformed record: %s", path, line_no, exc)
@@ -388,12 +375,15 @@ class BlendSampler:
             self._docs.append(docs)
             doc_rates.append(proportion / images_per_sample)
         total = sum(doc_rates)
-        self._doc_probs = np.asarray([r / total for r in doc_rates])
+        # the CDF `Generator.choice(p=...)` would rebuild on every draw: the
+        # same uniform double searched in it gives choice's draw, bit for bit
+        self._cdf = np.asarray([r / total for r in doc_rates]).cumsum()
+        self._cdf /= self._cdf[-1]
         self._cursors = [0] * len(sources)
         self._rng = np.random.default_rng(seed)
 
     def draw(self) -> InterleavedDocument:
-        src = int(self._rng.choice(len(self._docs), p=self._doc_probs))
+        src = int(self._cdf.searchsorted(self._rng.random(), side="right"))
         docs = self._docs[src]
         doc = docs[self._cursors[src] % len(docs)]
         self._cursors[src] += 1

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigMismatchError, VlmforgeError
-from .manifest import read_utf8
+from .manifest import parse_json, read_utf8
 from .model import fields_from_json
 from .packing import ByteTokenizer, PackedSample, bind_pixels, pack_context
 from .seeding import substream
@@ -191,8 +190,8 @@ def _record(path, line_no: int, line: str, cls):
     """Line `line_no` of `path` as a `cls`; a bad record raises VlmforgeError
     naming the file and line."""
     try:
-        return cls(**fields_from_json(cls, json.loads(line)))
-    except (VlmforgeError, json.JSONDecodeError) as exc:
+        return cls(**fields_from_json(cls, parse_json(line)))
+    except VlmforgeError as exc:
         raise VlmforgeError(f"{path}:line {line_no}: {exc}") from None
 
 

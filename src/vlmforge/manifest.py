@@ -1,6 +1,6 @@
 """Run manifests, the provenance records written next to every output
 artifact, and the file helpers the writers and readers share: atomic
-writes and UTF-8 reads."""
+writes, UTF-8 reads and the one JSON decoder of every input."""
 
 from __future__ import annotations
 
@@ -26,14 +26,37 @@ def file_sha256(path) -> str:
 def read_utf8(path) -> str:
     """The text of a UTF-8 file, its line ends made "\n" as text mode makes
     them; a byte that is not UTF-8 raises VlmforgeError naming the file and
-    the line it is on."""
-    data = Path(path).read_bytes()
+    the line it is on, as does a NUL byte in the file's name."""
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # open's "embedded null byte"
+        raise VlmforgeError(f"{os.fspath(path)!r}: {exc} in the file name") from None
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise VlmforgeError(f"{path}:line {line_no}: byte {data[exc.start]:#04x} "
                             f"is not UTF-8") from None
+
+
+def parse_json(text: str):
+    """The JSON value of `text`. Text that is not JSON (or holds an integer
+    longer than Python converts), nesting deeper than the decoder follows,
+    and a \\u escape that gives a lone surrogate, which no UTF-8 text holds,
+    raise VlmforgeError naming no place: the caller names the file and line.
+    Text without an escape cannot hold such a surrogate and is not looked at."""
+    try:
+        obj = json.loads(text)
+        if "\\u" in text:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise VlmforgeError(f"a \\u escape gives the lone surrogate "
+                            f"{exc.object[exc.start]!r}, which is not UTF-8") from None
+    except ValueError as exc:  # json.JSONDecodeError, or int's digit limit
+        raise VlmforgeError(str(exc)) from None
+    except RecursionError:
+        raise VlmforgeError("JSON nested deeper than the decoder follows") from None
+    return obj
 
 
 def _git_describe() -> str:

@@ -130,7 +130,7 @@ from scipy.special import erf
 
 from . import halves
 from .errors import ConfigMismatchError, VlmforgeError
-from .manifest import atomic_open
+from .manifest import atomic_open, parse_json
 from .packing import TEXT, ByteTokenizer, PackedSample, check_batch, tokens_per_image
 
 logger = logging.getLogger(__name__)
@@ -1408,8 +1408,8 @@ class Model:
             if 16 + cfg_len > size:
                 raise VlmforgeError(f"{path}: truncated checkpoint")
             try:
-                cfg = ModelConfig.from_json(json.loads(fh.read(cfg_len).decode("utf-8")))
-            except (ValueError, ConfigMismatchError) as exc:  # not UTF-8 JSON, or no ModelConfig
+                cfg = ModelConfig.from_json(parse_json(fh.read(cfg_len).decode("utf-8")))
+            except (UnicodeDecodeError, VlmforgeError) as exc:  # not UTF-8 JSON, or no ModelConfig
                 raise VlmforgeError(f"{path}: bad checkpoint config: {exc}") from None
             if expect_cfg is not None and cfg != expect_cfg:
                 raise ConfigMismatchError(f"{path}: checkpoint config mismatch")

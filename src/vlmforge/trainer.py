@@ -112,22 +112,26 @@ class RunLog:
 
     @staticmethod
     def from_csv(text: str) -> "RunLog":
-        """The records of `to_csv` text; a missing column, a short row or a
-        value that does not parse raises VlmforgeError naming the line."""
+        """The records of `to_csv` text; a missing column, a short row, a
+        value that does not parse or a field longer than csv reads raises
+        VlmforgeError naming the line."""
         reader = csv.DictReader(io.StringIO(text))
-        missing = [c for c in RunLog.COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise VlmforgeError(f"line 1: no {', '.join(missing)} column")
         records = []
-        for row in reader:
-            step, stage, loss, lr, tokens, images = (row[c] for c in RunLog.COLUMNS)
-            try:
+        try:
+            missing = [c for c in RunLog.COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise VlmforgeError(f"line 1: no {', '.join(missing)} column")
+            for row in reader:
+                step, stage, loss, lr, tokens, images = (row[c] for c in RunLog.COLUMNS)
                 if None in (step, stage, loss, lr, tokens, images):
                     raise ValueError(f"fewer than {len(reader.fieldnames)} fields")
                 records.append(LogRecord(int(step), stage, float(loss), float(lr),
                                          int(tokens), int(images)))
-            except ValueError as exc:
-                raise VlmforgeError(f"line {reader.line_num}: {exc}") from None
+        except (csv.Error, ValueError) as exc:
+            # csv counts a row's lines once it has read the row whole, so a csv.Error
+            # inside a row leaves the count at the line before the row's first
+            line_no = reader.line_num + isinstance(exc, csv.Error)
+            raise VlmforgeError(f"line {line_no}: {exc}") from None
         return RunLog(records)
 
     def losses(self, stage: str | None = None) -> list[float]:

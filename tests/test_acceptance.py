@@ -2,7 +2,9 @@
 
 Each test covers one release criterion and prints a single PASS/FAIL line
 so `pytest -v -s` doubles as an acceptance report. The direction-of-effect
-tests train real (toy-sized) models, so this file dominates suite runtime.
+tests train real (toy-sized) models, so this file dominates suite runtime;
+they and the recipe rerun are marked `slow`, which `pytest -m "not slow"`
+leaves out.
 """
 
 import dataclasses
@@ -262,6 +264,7 @@ def train_on_docs(docs, cfg, steps, seed, lr=3e-3):
     return model, log
 
 
+@pytest.mark.slow
 def test_criterion_08_interleave_beats_pairs():
     results = []
     for seed in range(3):
@@ -290,6 +293,7 @@ def deepest_alignment(model, docs):
     return alignment_profile(model, probe, pixels).per_layer[-1]
 
 
+@pytest.mark.slow
 def test_criterion_09_frozen_llm_aligns_no_better():
     results = []
     for seed in range(3):
@@ -311,6 +315,7 @@ def test_criterion_09_frozen_llm_aligns_no_better():
            ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_10_recipe_smoke(tmp_path):
     paths = fixture_gen(FixtureSpec(n_docs=40, images_per_doc=2,
                                     tokens_per_image=16, n_pairs=80, seed=2),
@@ -372,6 +377,7 @@ def color_task(n_items=200, seed=0):
     return task, demos
 
 
+@pytest.mark.slow
 def test_criterion_12_eval_chance_band_and_ceiling():
     cfg = toy_cfg(seed=0)
     task, demos = color_task()
@@ -396,6 +402,7 @@ def test_criterion_12_eval_chance_band_and_ceiling():
            f"random {random_acc:.3f}, overfit {overfit_acc:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_13_text_only_sft_keeps_text_ability():
     """Paper finding 3: re-blending text-only data into SFT restores the
     LLM's text-only ability. Preset c at 50/200/50 steps, with SFT's

@@ -773,6 +773,94 @@ class TestNonUtf8TextInputsExit2:
         assert f"{path}:line 2: byte 0xff is not UTF-8" in capsys.readouterr().err
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past the JSON decoder's depth
+
+
+class TestUndecodableInputsExit2:
+    """A JSON input nested past the decoder's depth or whose \\u escape gives
+    a lone surrogate, a task header whose demo pool's name holds a NUL byte,
+    and a runlog field past csv's length limit exit 2 with one `error:` line
+    naming the file, and the line in a line-based file, and leave the output
+    already at the path as it was."""
+
+    @staticmethod
+    def refused(capsys, argv, out, where):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text("previous\n")
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {where}"), line
+        assert out.read_text() == "previous\n"
+        assert not list(out.parent.glob("*.tmp"))
+
+    def test_corpus_line_skipped_or_exits_2(self, tmp_path, capsys, caplog):
+        path = tmp_path / "deep.jsonl"
+        docs = [json.dumps({"doc_id": d, "segments": [{"text": "ok"}]}) for d in "ac"]
+        path.write_text(docs[0] + "\n" + DEEP + "\n" + docs[1] + "\n")
+        assert main(["corpus", "stats", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["num_docs"] == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:line 2: skipped malformed record: JSON nested deeper than the decoder "
+            f"follows"]
+        assert main(["corpus", "stats", str(path), "--strict"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:line 2: JSON nested deeper than the decoder follows"]
+
+    def test_config(self, corpora, tmp_path, capsys):
+        cfg, shard = tmp_path / "cfg.json", tmp_path / "d.shard"
+        cfg.write_text(DEEP)
+        self.refused(capsys, ["pack", "run", str(corpora["interleaved"]), str(shard),
+                              "--config", str(cfg)], shard, f"{cfg}: JSON nested deeper")
+
+    def test_plan(self, corpora, tmp_path, capsys):
+        plan, out = tmp_path / "plan.json", tmp_path / "o"
+        plan.write_text(DEEP)
+        self.refused(capsys, ["train", "run", "--plan", str(plan), "--corpus-b",
+                              str(corpora["pairs"]), "--out", str(out)],
+                     out / "runlog.csv", f"{plan}: JSON nested deeper")
+
+    def test_checkpoint_config(self, corpora, tmp_path, capsys):
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "a.csv"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        data = ckpt.read_bytes()
+        cfg_len = int.from_bytes(data[12:16], "little")
+        ckpt.write_bytes(data[:12] + len(DEEP).to_bytes(4, "little") + DEEP.encode()
+                         + data[16 + cfg_len:])
+        self.refused(capsys, ["diag", "align", "--ckpt", str(ckpt), "--shard",
+                              str(TestShards.pack(corpora, tmp_path)), "--out", str(out)],
+                     out, f"{ckpt}: bad checkpoint config: JSON nested deeper")
+
+    @pytest.mark.parametrize("item,message", [
+        (DEEP, "JSON nested deeper than the decoder follows"),
+        ('{"item_id": "i0", "prompt": "p\\ud800", "answer": "red"}',
+         "a \\u escape gives the lone surrogate '\\ud800', which is not UTF-8"),
+    ], ids=["deep", "surrogate"])
+    def test_task_item(self, tmp_path, capsys, item, message):
+        ckpt, task, out = tmp_path / "m.ckpt", tmp_path / "task.jsonl", tmp_path / "e.csv"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        task.write_text(json.dumps({"name": "t", "metric": "exact-match"}) + "\n" + item + "\n")
+        self.refused(capsys, ["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                              "--out", str(out)], out, f"{task}:line 2: {message}")
+
+    def test_nul_in_demo_pool_name(self, tmp_path, capsys):
+        ckpt, task, out = tmp_path / "m.ckpt", tmp_path / "task.jsonl", tmp_path / "e.csv"
+        Model(ModelConfig()).save_checkpoint(ckpt)
+        task.write_text('{"name": "t", "metric": "exact-match", "demo_pool": "a\\u0000b"}\n'
+                        '{"item_id": "i0", "prompt": "p: ", "answer": "red"}\n')
+        pool = os.path.join(tmp_path, "a\0b")
+        self.refused(capsys, ["eval", "run", "--ckpt", str(ckpt), "--task", str(task),
+                              "--out", str(out)], out, f"{pool!r}: embedded null byte")
+
+    def test_runlog_field_past_csv_limit(self, tmp_path, capsys):
+        good = TestCompareLossInputs.write_log(tmp_path / "a.csv")
+        bad, out = tmp_path / "b.csv", tmp_path / "c.json"
+        lines = good.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace("pretrain", "x" * 200_000)
+        bad.write_text("".join(lines))
+        self.refused(capsys, ["train", "compare-loss", str(good), str(bad), "--out", str(out)],
+                     out, f"{bad}:line 3: field larger than field limit (131072)")
+
+
 class TestCompareLossInputs:
     """compare-loss exits 2 on a runlog it cannot read and on a final window
     below 1, naming the file and line or the window."""

@@ -12,13 +12,16 @@ from vlmforge.corpus import (
     TextSegment,
     compute_stats,
     document_to_json,
+    pair_as_document,
     parse_corpus,
     reformat_images_first,
     subsample_topk,
     to_pairs,
 )
 from vlmforge.errors import CorpusFormatError
+from vlmforge.fixtures import FixtureSpec, make_interleaved, make_pairs
 from vlmforge.packing import ByteTokenizer
+from vlmforge.seeding import child_seed
 
 from conftest import random_document
 
@@ -370,6 +373,36 @@ class TestBlendSampler:
             sampler = BlendSampler([(a, 0.4), (b, 0.6)], seed=7)
             draws.append([sampler.draw().doc_id for _ in range(1000)])
         assert draws[0] == draws[1]
+
+    @pytest.mark.parametrize("blend", ["pretrain", "random"])
+    def test_draws_are_generator_choice(self, blend):
+        """A draw searches the CDF built once for the same uniform double
+        `Generator.choice(p=...)` would take: 100,000 draws pick the same
+        sources, and leave the generator in the same state, as choice's.
+        The pretrain blend is the recipe's: documents of two images and
+        caption pairs at equal image shares."""
+        if blend == "pretrain":
+            spec = FixtureSpec(n_docs=40, images_per_doc=2, tokens_per_image=16, n_pairs=80,
+                               seed=2)
+            sources = [make_interleaved(spec), [pair_as_document(p) for p in make_pairs(spec)]]
+            proportions = [0.5, 0.5]
+        else:
+            rng = np.random.default_rng(9)
+            sources = [self.docs_with_images(f"s{i}-", 3, int(n))
+                       for i, n in enumerate(rng.integers(0, 5, 4))]
+            proportions = list(rng.dirichlet(np.ones(4)))
+        for i, docs in enumerate(sources):
+            for doc in docs:
+                doc.doc_id = f"{i}:{doc.doc_id}"
+        seed = child_seed(5, "pretrain")
+        sampler = BlendSampler(list(zip(sources, proportions)), seed)
+        rates = [share / (sum(d.num_images for d in docs) / len(docs) or 1.0)
+                 for docs, share in zip(sources, proportions)]
+        p = np.asarray([r / sum(rates) for r in rates])
+        choice = np.random.default_rng(seed)
+        drawn = [int(sampler.draw().doc_id.split(":")[0]) for _ in range(100_000)]
+        assert drawn == [int(choice.choice(len(p), p=p)) for _ in range(100_000)]
+        assert sampler._rng.bit_generator.state == choice.bit_generator.state
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
